@@ -47,9 +47,7 @@ from .restricted import (
     FiniteAbelianGroup,
     OrbitSpec,
     assemble_restricted_S,
-    holomorphic_assemble,
     restricted_spec_to_dict,
-    restricted_vacuum_row,
     validate_group_data,
 )
 from .sl2z import (
@@ -99,9 +97,7 @@ __all__ = [
     "FiniteAbelianGroup",
     "OrbitSpec",
     "assemble_restricted_S",
-    "holomorphic_assemble",
     "restricted_spec_to_dict",
-    "restricted_vacuum_row",
     "validate_group_data",
     "GeneratorWord",
     "SL2Matrix",

@@ -21,11 +21,10 @@ from .modular_data import (
     InvalidDatum,
     ModularDatum,
     ValidationReport,
-    format_decimal,
+    format_complex,
     parse_modular_datum,
     t_matrix,
     validate_modular_datum,
-    verlinde_fusion,
 )
 from .perm_orbifold import build_orbifold_datum, orbifold_datum_to_dict
 from .restricted import (
@@ -194,10 +193,9 @@ def fusion(input_path, eps, eps_int, fmt):
     if not all(c.passed for c in gate):
         click.echo("datum fails unitarity/positivity; fusion not computed", err=True)
         sys.exit(1)
-    try:
-        tensor = verlinde_fusion(datum)
-    except InvalidDatum as exc:
-        click.echo(f"fusion failed: {exc}", err=True)
+    tensor = report.fusion
+    if tensor is None:
+        click.echo(f"fusion failed: {report['fusion_integrality'].detail}", err=True)
         sys.exit(1)
     labels = datum.labels
     if fmt == "json":
@@ -231,12 +229,7 @@ def tmatrix(input_path, fmt):
     phases = t_matrix(datum)
     if fmt == "json":
         doc = [
-            {
-                "label": m.label,
-                "angle": str(p.angle),
-                "re": format_decimal(p.value.real),
-                "im": format_decimal(p.value.imag),
-            }
+            {"label": m.label, "angle": str(p.angle), **format_complex(p.value)}
             for m, p in zip(datum.modules, phases)
         ]
         click.echo(_dump_json({"t_phases": doc}), nl=False)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -40,11 +40,13 @@ __all__ = [
     "verlinde_fusion",
     "quantum_dimensions",
     "parse_rational",
-    "format_decimal",
+    "format_complex",
 ]
 
 DEFAULT_EPS = 1e-9
 DEFAULT_EPS_INT = 1e-6
+# a vacuum-row entry closer to zero than this makes Verlinde fusion undefined
+_VACUUM_ZERO_TOL = 1e-12
 
 
 class InvalidDatum(ValueError):
@@ -195,9 +197,17 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Collection of named check results with an overall verdict."""
+    """Collection of named check results with an overall verdict.
+
+    ``fusion`` is the Verlinde :class:`FusionTensor` that
+    :func:`validate_modular_datum` built for its ``fusion_integrality``
+    check, so callers can reuse it instead of computing it again; it is
+    ``None`` when Verlinde fusion is undefined for the datum (the check's
+    detail says why) and for reports that run no fusion check.
+    """
 
     checks: tuple[CheckResult, ...]
+    fusion: FusionTensor | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "checks", tuple(self.checks))
@@ -251,9 +261,26 @@ def _parse_complex(entry, where: str) -> complex:
     return complex(_parse_decimal(entry["re"], where), _parse_decimal(entry["im"], where))
 
 
-def format_decimal(x: float) -> str:
-    """Shortest decimal string that round-trips the float exactly."""
-    return repr(float(x))
+def format_complex(z: complex) -> dict:
+    """Inverse of :func:`_parse_complex`: ``{"re": ..., "im": ...}`` with the
+    shortest decimal strings that round-trip each float exactly."""
+    return {"re": repr(float(z.real)), "im": repr(float(z.imag))}
+
+
+def _json_object(document: str | dict, required: set[str]) -> dict:
+    """Decode a JSON document (text or parsed) that must be an object
+    holding every key in ``required``."""
+    if isinstance(document, str):
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise InvalidDatum(f"malformed JSON document: {exc}") from exc
+    if not isinstance(document, dict):
+        raise InvalidDatum("top-level JSON value must be an object")
+    missing = required - set(document)
+    if missing:
+        raise InvalidDatum(f"missing required keys: {sorted(missing)}")
+    return document
 
 
 def parse_modular_datum(document: str | dict) -> ModularDatum:
@@ -268,17 +295,7 @@ def parse_modular_datum(document: str | dict) -> ModularDatum:
     Unknown keys are ignored, so extended documents (e.g. orbifold output
     with per-module ``label_kind`` fields) parse as plain data.
     """
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise InvalidDatum(f"malformed JSON document: {exc}") from exc
-    if not isinstance(document, dict):
-        raise InvalidDatum("top-level JSON value must be an object")
-    missing = {"central_charge", "modules", "S"} - set(document)
-    if missing:
-        raise InvalidDatum(f"missing required keys: {sorted(missing)}")
-
+    document = _json_object(document, {"central_charge", "modules", "S"})
     c = parse_rational(document["central_charge"])
     raw_modules = document["modules"]
     if not isinstance(raw_modules, list) or not raw_modules:
@@ -313,13 +330,7 @@ def modular_datum_to_dict(d: ModularDatum) -> dict:
     return {
         "central_charge": str(d.central_charge),
         "modules": [{"label": m.label, "h": str(m.weight)} for m in d.modules],
-        "S": [
-            [
-                {"re": format_decimal(z.real), "im": format_decimal(z.imag)}
-                for z in row
-            ]
-            for row in d.s_matrix
-        ],
+        "S": [[format_complex(z) for z in row] for row in d.s_matrix],
     }
 
 
@@ -337,17 +348,17 @@ def _t_array(d: ModularDatum) -> np.ndarray:
     return np.array([p.value for p in t_matrix(d)])
 
 
-def verlinde_fusion(d: ModularDatum, *, zero_tol: float = 1e-12) -> FusionTensor:
+def verlinde_fusion(d: ModularDatum) -> FusionTensor:
     """Fusion multiplicities ``N[i, j, m] = sum_l S_il S_jl conj(S_ml) / S_0l``.
 
     Raises :class:`InvalidDatum` if a vacuum-row entry is closer to zero than
-    ``zero_tol``, which signals an invalid datum (the formula divides by it).
+    ``1e-12``, which signals an invalid datum (the formula divides by it).
     The returned tensor is rounded; inspect :attr:`FusionTensor.residual`
     before trusting the integers.
     """
     s = d.s_matrix
     vac = s[0]
-    if np.min(np.abs(vac)) < zero_tol:
+    if np.min(np.abs(vac)) < _VACUUM_ZERO_TOL:
         raise InvalidDatum(
             "vacuum S-matrix row has a near-zero entry; fusion is undefined"
         )
@@ -398,6 +409,9 @@ def validate_modular_datum(
     - ``modular_relation``: ``(S T)^3 = S^2`` within ``eps``;
     - ``fusion_integrality``: Verlinde coefficients within ``eps_int`` of
       nonnegative integers.
+
+    The report keeps the Verlinde tensor built for ``fusion_integrality``
+    as :attr:`ValidationReport.fusion` (``None`` when fusion is undefined).
     """
     s = d.s_matrix
     n = d.rank
@@ -439,6 +453,7 @@ def validate_modular_datum(
     try:
         fusion = verlinde_fusion(d)
     except InvalidDatum as exc:
+        fusion = None
         checks.append(CheckResult("fusion_integrality", False, float("inf"), str(exc)))
     else:
         nonneg = bool(np.min(fusion.table) >= 0)
@@ -452,4 +467,4 @@ def validate_modular_datum(
             )
         )
 
-    return ValidationReport(tuple(checks))
+    return ValidationReport(tuple(checks), fusion)

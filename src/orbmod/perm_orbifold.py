@@ -356,14 +356,13 @@ def build_orbifold_datum(
         if not in_report.ok:
             names = [c.name for c in in_report.failures()]
             raise InvalidDatum(f"input datum fails validation checks: {names}")
-    modules = [
-        ModuleInfo(label_text(label, d), weight)
-        for label, weight in enumerate_orbifold_modules(d, k, convention)
-    ]
+    labelled = enumerate_orbifold_modules(d, k, convention)
+    modules = [ModuleInfo(label_text(label, d), weight) for label, weight in labelled]
     s = assemble_orbifold_S(d, k)
     datum = ModularDatum(k * d.central_charge, tuple(modules), s)
     report = validate_modular_datum(datum, eps, eps_int)
-    return OrbifoldDatum(datum, orbifold_labels(d, k), k, convention, report)
+    labels = tuple(label for label, _ in labelled)
+    return OrbifoldDatum(datum, labels, k, convention, report)
 
 
 def _label_fields(label: OrbifoldLabel) -> dict:

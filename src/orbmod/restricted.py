@@ -26,7 +26,6 @@ above assumes.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,8 +39,9 @@ from .modular_data import (
     InvalidDatum,
     Phase,
     ValidationReport,
+    _json_object,
     _parse_complex,
-    format_decimal,
+    format_complex,
 )
 
 __all__ = [
@@ -52,8 +52,6 @@ __all__ = [
     "CrossBlocks",
     "validate_group_data",
     "assemble_restricted_S",
-    "restricted_vacuum_row",
-    "holomorphic_assemble",
     "parse_restricted_spec",
     "restricted_spec_to_dict",
     "restricted_result_to_dict",
@@ -291,7 +289,6 @@ def assemble_restricted_S(
     group: FiniteAbelianGroup,
     *,
     eps: float = DEFAULT_EPS,
-    check_blocks: bool = True,
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Evaluate the restricted S-matrix over all ``(orbit, character)`` pairs.
 
@@ -315,8 +312,7 @@ def assemble_restricted_S(
             raise ValueError(f"block key ({i}, {j}) out of range")
         if not entries:
             continue
-        if check_blocks:
-            _check_block(i, j, entries, orbits, group, eps)
+        _check_block(i, j, entries, orbits, group, eps)
         spec_i, spec_j = orbits[i], orbits[j]
         try:
             # abelian group: conjugation is trivial, so the character factors
@@ -333,64 +329,6 @@ def assemble_restricted_S(
         cols = slice(offsets[j], offsets[j] + spec_j.characters.n_characters)
         out[rows, cols] = total * np.outer(lam, mu)
     return pairs, out
-
-
-def restricted_vacuum_row(
-    orbits: Sequence[OrbitSpec],
-    vacuum: int,
-    s_vacuum: Sequence[complex],
-    group: FiniteAbelianGroup,
-) -> np.ndarray:
-    """Vacuum-orbit rows from single S-entries, via the shortcut
-
-        S[(vac, lam), (j, mu)] = (1/|H_j|) * s_vacuum[j] * lam(-g_j) * dim(mu)
-
-    ``s_vacuum[j]`` is the S-entry between the vacuum representative and the
-    representative of orbit ``j`` (one number per orbit; conjugation
-    invariance makes the choice of orbit member immaterial).  Returns an
-    array of shape ``(characters of the vacuum stabilizer, total pairs)``,
-    ordered like :func:`assemble_restricted_S`.
-    """
-    vac_spec = orbits[vacuum]
-    cols: list[np.ndarray] = []
-    for j, spec in enumerate(orbits):
-        lam = vac_spec.characters.column(group.neg(spec.twist))
-        dims = np.array(spec.characters.dims, dtype=float)
-        block = (complex(s_vacuum[j]) / len(spec.stabilizer)) * np.outer(lam, dims)
-        cols.append(block)
-    return np.concatenate(cols, axis=1)
-
-
-def holomorphic_assemble(
-    group: FiniteAbelianGroup,
-    twisted_s: np.ndarray,
-    characters: CharacterTable | None = None,
-) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Restricted S-matrix when every twist class carries exactly one module.
-
-    ``twisted_s[g, h]`` is the S-entry between the unique ``g``- and
-    ``h``-twisted modules, indexed by :meth:`FiniteAbelianGroup.elements`
-    order.  Each element is its own orbit with the full group as stabilizer,
-    so the entries reduce to ``(1/|G|) * twisted_s[g, h] * conj(lam(h)) *
-    mu(-g)``.  ``characters`` defaults to the standard character table of
-    the group; pass an explicit table to fix a different row labeling.
-    """
-    elems = group.elements()
-    twisted_s = np.asarray(twisted_s, dtype=complex)
-    if twisted_s.shape != (len(elems), len(elems)):
-        raise ValueError(
-            f"twisted S-block must be {len(elems)}x{len(elems)}, got {twisted_s.shape}"
-        )
-    table = characters if characters is not None else group.character_table()
-    orbits = [
-        OrbitSpec(f"V({','.join(map(str, g))})", g, elems, table) for g in elems
-    ]
-    blocks = {
-        (i, j): [(group.identity, twisted_s[i, j])]
-        for i in range(len(elems))
-        for j in range(len(elems))
-    }
-    return assemble_restricted_S(orbits, blocks, group)
 
 
 # ---------------------------------------------------------------------------
@@ -417,16 +355,10 @@ def parse_restricted_spec(
          "blocks": [{"i": int, "j": int,
                      "entries": [{"kappa": [..], "value": {"re", "im"}}]}]}
     """
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise InvalidDatum(f"malformed JSON document: {exc}") from exc
-    if not isinstance(document, dict):
-        raise InvalidDatum("top-level JSON value must be an object")
-    missing = {"group", "orbits", "blocks"} - set(document)
-    if missing:
-        raise InvalidDatum(f"missing required keys: {sorted(missing)}")
+    document = _json_object(document, {"group", "orbits", "blocks"})
+    for key in ("orbits", "blocks"):
+        if not isinstance(document[key], list):
+            raise InvalidDatum(f'"{key}" must be a list')
     try:
         group = FiniteAbelianGroup(tuple(document["group"]))
     except (TypeError, ValueError) as exc:
@@ -484,9 +416,6 @@ def restricted_spec_to_dict(
     produced by :func:`orbmod.perm_orbifold.permutation_restriction_data`
     as a worked example input for the ``restricted`` CLI subcommand.
     """
-    def cplx(z: complex) -> dict:
-        return {"re": format_decimal(z.real), "im": format_decimal(z.imag)}
-
     return {
         "group": list(group.invariant_factors),
         "orbits": [
@@ -497,7 +426,7 @@ def restricted_spec_to_dict(
                 "characters": {
                     "dims": list(o.characters.dims),
                     "elements": [list(e) for e in o.characters.elements],
-                    "table": [[cplx(z) for z in row] for row in o.characters.rows],
+                    "table": [[format_complex(z) for z in row] for row in o.characters.rows],
                 },
             }
             for o in orbits
@@ -507,7 +436,7 @@ def restricted_spec_to_dict(
                 "i": i,
                 "j": j,
                 "entries": [
-                    {"kappa": list(kappa), "value": cplx(complex(v))}
+                    {"kappa": list(kappa), "value": format_complex(complex(v))}
                     for kappa, v in entries
                 ],
             }
@@ -526,11 +455,5 @@ def restricted_result_to_dict(
         "pairs": [
             {"orbit": orbits[i].label, "character": l} for i, l in pairs
         ],
-        "S": [
-            [
-                {"re": format_decimal(z.real), "im": format_decimal(z.imag)}
-                for z in row
-            ]
-            for row in np.asarray(matrix)
-        ],
+        "S": [[format_complex(z) for z in row] for row in np.asarray(matrix)],
     }

@@ -1,10 +1,11 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from orbmod import fixtures
+from orbmod import fixtures, modular_data
 from orbmod.cli import format_complex_csv, main, render_fusion_table
 from orbmod.modular_data import parse_modular_datum, verlinde_fusion
 
@@ -119,6 +120,46 @@ def test_fusion_csv(runner):
 def test_fusion_gate_on_invalid_datum(runner, tmp_path):
     result = runner.invoke(main, ["fusion", write_perturbed_ising(tmp_path)])
     assert result.exit_code == 1
+
+
+def test_fusion_reports_undefined_verlinde(runner, tmp_path):
+    # unitary, symmetric and with a positive vacuum row at --eps 1e-14, but
+    # S_00 = 1e-13 is too close to zero for the Verlinde formula
+    a = 1e-13
+    b = (1 - a * a) ** 0.5
+    doc = {
+        "central_charge": "0",
+        "modules": [{"label": "0", "h": "0"}, {"label": "x", "h": "1/2"}],
+        "S": [
+            [{"re": repr(a), "im": "0"}, {"re": repr(b), "im": "0"}],
+            [{"re": repr(b), "im": "0"}, {"re": repr(-a), "im": "0"}],
+        ],
+    }
+    path = tmp_path / "near_zero.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["fusion", "--eps", "1e-14", str(path)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "fusion failed: vacuum S-matrix row has a near-zero entry; fusion is undefined\n"
+    )
+
+
+def test_fusion_computes_verlinde_once(runner, monkeypatch):
+    calls = []
+
+    def counting(d):
+        calls.append(d.rank)
+        return original(d)
+
+    # rebind every orbmod name for the function, however it was imported
+    original = modular_data.verlinde_fusion
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orbmod") and getattr(module, "verlinde_fusion", None) is original:
+            monkeypatch.setattr(module, "verlinde_fusion", counting)
+    result = runner.invoke(main, ["fusion", ising_path()])
+    assert result.exit_code == 0
+    assert calls == [3]
 
 
 def test_render_fusion_table_multiplicity():
@@ -266,6 +307,18 @@ def test_restricted_cli_rejects_bad_spec(runner, tmp_path):
     bad.write_text(json.dumps({"group": [2]}))
     result = runner.invoke(main, ["restricted", str(bad)])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("key,value", [("orbits", 5), ("blocks", 7)])
+def test_restricted_cli_rejects_non_list_sections(runner, tmp_path, key, value):
+    spec_path, _ = make_trivial_spec(tmp_path)
+    doc = json.loads(spec_path.read_text())
+    doc[key] = value
+    spec_path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["restricted", str(spec_path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f'error: {spec_path}: "{key}" must be a list\n'
 
 
 def test_restricted_cli_permutation_spec(runner, tmp_path):

@@ -151,6 +151,14 @@ def test_validation_flags_nonpositive_vacuum_row():
     report = validate_modular_datum(d)
     assert not report["vacuum_row_positive"].passed
     assert not report["fusion_integrality"].passed  # vacuum row hits zero
+    assert report.fusion is None
+
+
+def test_validation_report_keeps_fusion_tensor(fibonacci):
+    report = validate_modular_datum(fibonacci)
+    expected = verlinde_fusion(fibonacci)
+    assert np.array_equal(report.fusion.table, expected.table)
+    assert report.fusion.residual == expected.residual
 
 
 def test_one_module_c8_validates(holo8):

@@ -15,11 +15,9 @@ from orbmod.restricted import (
     FiniteAbelianGroup,
     OrbitSpec,
     assemble_restricted_S,
-    holomorphic_assemble,
     parse_restricted_spec,
     restricted_result_to_dict,
     restricted_spec_to_dict,
-    restricted_vacuum_row,
     validate_group_data,
 )
 
@@ -37,6 +35,14 @@ def trivial_orbits_for(datum):
     """One orbit per module with trivial group data (twist 1, stabilizer 1)."""
     table = CharacterTable(((),), np.array([[1.0]], dtype=complex), (1,))
     return [OrbitSpec(lbl, (), ((),), table) for lbl in datum.labels]
+
+
+def singleton_orbits(group):
+    """Holomorphic case: every element its own orbit, the full group as
+    stabilizer, one twisted module per element."""
+    elems = group.elements()
+    table = group.character_table()
+    return [OrbitSpec(f"V{g}", g, elems, table) for g in elems]
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +187,10 @@ def test_nonempty_block_requires_twist_in_domain():
 # holomorphic specialization
 # ---------------------------------------------------------------------------
 
-def test_holomorphic_trivial_group():
-    pairs, out = holomorphic_assemble(TRIVIAL, np.array([[0.5]]))
-    assert pairs == [(0, 0)]
-    assert out.shape == (1, 1) and out[0, 0] == 0.5
-
-
 def test_holomorphic_z2_against_manual_formula():
     block = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-    pairs, out = holomorphic_assemble(Z2, block)
+    blocks = {(i, j): [((0,), block[i, j])] for i in range(2) for j in range(2)}
+    pairs, out = assemble_restricted_S(singleton_orbits(Z2), blocks, Z2)
     table = Z2.character_table()
     for x, (i, a) in enumerate(pairs):
         for y, (j, b) in enumerate(pairs):
@@ -203,28 +204,12 @@ def test_holomorphic_z2_against_manual_formula():
             assert abs(out[x, y] - expected) < 1e-12
 
 
-def test_holomorphic_z2_matches_permutation_pipeline(holo8):
-    # the unique twisted/untwisted S-entries of the two-fold tensor power of
-    # a one-module algebra are all 1, so the restricted assembly must equal
-    # the full permutation-orbifold S-matrix
-    block = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-    _, out = holomorphic_assemble(Z2, block)
-    s_orb = assemble_orbifold_S(holo8, 2)
-    assert_allclose(out, s_orb, atol=1e-12)
-
-
-def test_holomorphic_shape_check():
-    with pytest.raises(ValueError, match="2x2"):
-        holomorphic_assemble(Z2, np.ones((3, 3)))
-
-
 def test_transversal_choice_independence():
     # any single kappa is a valid transversal for singleton orbits; the
     # assembled entries must not depend on the choice
     block = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     elems = Z2.elements()
-    table = Z2.character_table()
-    orbits = [OrbitSpec(f"V{g}", g, elems, table) for g in elems]
+    orbits = singleton_orbits(Z2)
     blocks_id = {(i, j): [((0,), block[i, j])] for i in range(2) for j in range(2)}
     blocks_h = {(i, j): [(elems[j], block[i, j])] for i in range(2) for j in range(2)}
     _, out_id = assemble_restricted_S(orbits, blocks_id, Z2)
@@ -252,10 +237,20 @@ def test_restricted_matches_orbifold_pipeline(name, k):
 
 
 def test_vacuum_row_shortcut_matches_general_assembly(ising):
+    # vacuum-orbit rows from one S-entry per orbit:
+    # S[(vac, lam), (j, mu)] = s_vac[j] / |H_j| * lam(-g_j) * dim(mu)
     orbits, blocks, group = permutation_restriction_data(ising, 2)
     _, out = assemble_restricted_S(orbits, blocks, group)
-    s_vac = [blocks[(0, j)][0][1] for j in range(len(orbits))]
-    rows = restricted_vacuum_row(orbits, 0, s_vac, group)
+    vac = orbits[0].characters
+    rows = np.concatenate(
+        [
+            blocks[(0, j)][0][1]
+            / len(spec.stabilizer)
+            * np.outer(vac.column(group.neg(spec.twist)), spec.characters.dims)
+            for j, spec in enumerate(orbits)
+        ],
+        axis=1,
+    )
     assert_allclose(rows, out[:2], atol=1e-12)
 
 
@@ -329,6 +324,8 @@ def test_parse_restricted_spec_round_trip(ising):
         lambda doc: doc["orbits"][0]["characters"].pop("dims"),
         lambda doc: doc["blocks"][0].pop("entries"),
         lambda doc: doc.update(group=[0]),
+        lambda doc: doc.update(orbits=5),
+        lambda doc: doc.update(blocks=7),
     ],
 )
 def test_parse_restricted_spec_rejects_malformed(ising, mutate):
