@@ -9,6 +9,7 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .restricted import (
 )
 from .sl2z import SL2Matrix, decompose_to_generators, evaluate_word, is_prime
 
-__all__ = ["main", "render_fusion_table", "format_complex_csv"]
+__all__ = ["main"]
 
 _FORMATS = click.Choice(["pretty", "json", "csv"])
 
@@ -97,7 +98,8 @@ def _report_dict(report: ValidationReport) -> dict:
             {
                 "name": c.name,
                 "passed": c.passed,
-                "residual": c.residual,
+                # JSON has no Infinity: an undefined residual is null
+                "residual": c.residual if math.isfinite(c.residual) else None,
                 "detail": c.detail,
             }
             for c in report.checks
@@ -271,9 +273,12 @@ def perm(input_path, k, output, convention, eps, eps_int):
         for c in in_report.failures():
             click.echo(f"input check FAIL: {c.name} residual={c.residual:.6e}", err=True)
         sys.exit(1)
-    orb = build_orbifold_datum(
-        datum, k, convention, eps=eps, eps_int=eps_int, validate_input=False
-    )
+    try:
+        orb = build_orbifold_datum(
+            datum, k, convention, eps=eps, eps_int=eps_int, validate_input=False
+        )
+    except InvalidDatum as exc:  # e.g. two orbifold modules with one label
+        _fail_input(f"{input_path}: {exc}")
     text = _dump_json(orbifold_datum_to_dict(orb))
     summary = sys.stdout if output is not None else sys.stderr
     _write_output(text, output)

@@ -39,7 +39,6 @@ __all__ = [
     "t_matrix",
     "verlinde_fusion",
     "quantum_dimensions",
-    "parse_rational",
     "format_complex",
 ]
 
@@ -58,8 +57,8 @@ class Phase:
     """The unit complex number ``exp(2*pi*i*angle)`` with exact rational angle.
 
     The angle is stored reduced modulo 1 into ``[0, 1)``, so phases with
-    rational angle multiply, invert and compare exactly; conversion to a
-    floating complex number happens only on demand via :attr:`value`.
+    rational angle compare exactly; conversion to a floating complex number
+    happens only on demand via :attr:`value`.
     """
 
     angle: Fraction
@@ -70,21 +69,6 @@ class Phase:
     @property
     def value(self) -> complex:
         return cmath.exp(2j * cmath.pi * float(self.angle))
-
-    def __complex__(self) -> complex:
-        return self.value
-
-    def __mul__(self, other: "Phase") -> "Phase":
-        return Phase(self.angle + other.angle)
-
-    def __pow__(self, n: int) -> "Phase":
-        return Phase(self.angle * n)
-
-    def conjugate(self) -> "Phase":
-        return Phase(-self.angle)
-
-    def __str__(self) -> str:
-        return f"e(2*pi*i*{self.angle})"
 
 
 @dataclass(frozen=True)
@@ -258,7 +242,10 @@ def _parse_decimal(value, where: str) -> float:
 def _parse_complex(entry, where: str) -> complex:
     if not isinstance(entry, dict) or not {"re", "im"} <= set(entry):
         raise InvalidDatum(f'expected {{"re": ..., "im": ...}} in {where}')
-    return complex(_parse_decimal(entry["re"], where), _parse_decimal(entry["im"], where))
+    z = complex(_parse_decimal(entry["re"], where), _parse_decimal(entry["im"], where))
+    if not cmath.isfinite(z):
+        raise InvalidDatum(f"non-finite complex value {entry!r} in {where}")
+    return z
 
 
 def format_complex(z: complex) -> dict:

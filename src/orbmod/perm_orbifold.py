@@ -53,13 +53,11 @@ from .restricted import CharacterTable, FiniteAbelianGroup, OrbitSpec
 from .sl2z import is_prime, rho_of, sector_congruence
 
 __all__ = [
-    "CONVENTIONS",
     "OffDiagonal",
     "Diagonal",
     "Twisted",
     "OrbifoldLabel",
     "OrbifoldDatum",
-    "canonical_rotation",
     "module_count",
     "orbifold_labels",
     "enumerate_orbifold_modules",
@@ -68,7 +66,6 @@ __all__ = [
     "orbifold_t_phases",
     "build_orbifold_datum",
     "orbifold_datum_to_dict",
-    "label_text",
     "permutation_restriction_data",
 ]
 

@@ -26,9 +26,7 @@ above assumes.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -37,7 +35,6 @@ from .modular_data import (
     DEFAULT_EPS,
     CheckResult,
     InvalidDatum,
-    Phase,
     ValidationReport,
     _json_object,
     _parse_complex,
@@ -77,14 +74,6 @@ class FiniteAbelianGroup:
             raise ValueError(f"invariant factors must be positive, got {factors}")
         object.__setattr__(self, "invariant_factors", factors)
 
-    @property
-    def order(self) -> int:
-        return math.prod(self.invariant_factors)
-
-    @property
-    def identity(self) -> GroupElement:
-        return (0,) * len(self.invariant_factors)
-
     def elements(self) -> tuple[GroupElement, ...]:
         return tuple(itertools.product(*(range(n) for n in self.invariant_factors)))
 
@@ -109,25 +98,6 @@ class FiniteAbelianGroup:
 
     def sub(self, x: GroupElement, y: GroupElement) -> GroupElement:
         return self.add(x, self.neg(y))
-
-    def character_phase(self, t: GroupElement, x: GroupElement) -> Phase:
-        """The character indexed by ``t`` evaluated at ``x``, as an exact phase."""
-        t, x = self._check(t), self._check(x)
-        angle = sum(
-            (Fraction(ti * xi, n) for ti, xi, n in zip(t, x, self.invariant_factors)),
-            Fraction(0),
-        )
-        return Phase(angle)
-
-    def character_table(self) -> "CharacterTable":
-        """Full character table, rows indexed by the dual-element order
-        matching :meth:`elements`."""
-        elems = self.elements()
-        rows = np.array(
-            [[self.character_phase(t, x).value for x in elems] for t in elems],
-            dtype=complex,
-        )
-        return CharacterTable(elems, rows, (1,) * len(elems))
 
     def __str__(self) -> str:
         if not self.invariant_factors:
@@ -180,9 +150,6 @@ class CharacterTable:
             raise ValueError(f"element {tuple(element)} not in character domain")
         return self.rows[:, idx]
 
-    def value(self, row: int, element: GroupElement) -> complex:
-        return complex(self.column(element)[row])
-
 
 @dataclass(frozen=True)
 class OrbitSpec:
@@ -225,6 +192,8 @@ def validate_group_data(
         h = len(spec.stabilizer)
         gram = table.rows @ table.rows.conj().T
         res = float(np.max(np.abs(gram - h * np.eye(table.n_characters))))
+        if np.isnan(res):  # NaN compares False and would pass the check
+            res = np.inf
         if res > worst_orth:
             worst_orth, worst_orth_at = res, spec.label
         if spec.twist not in set(spec.stabilizer):

@@ -21,9 +21,6 @@ from .modular_data import ModularDatum, Phase, t_matrix
 __all__ = [
     "SL2Matrix",
     "GeneratorWord",
-    "S_GEN",
-    "T_GEN",
-    "IDENTITY",
     "evaluate_word",
     "decompose_to_generators",
     "rho_of",
@@ -127,71 +124,48 @@ def evaluate_word(word: GeneratorWord | Iterable[str]) -> SL2Matrix:
     return out
 
 
-def _normalize_tokens(tokens: list[tuple[str, int]]) -> tuple[str, ...]:
-    """Merge adjacent T tokens, drop T^0 and S^4 runs, until stable."""
-    changed = True
-    while changed:
-        changed = False
-        out: list[tuple[str, int]] = []
-        for kind, n in tokens:
-            if kind == "T":
-                if n == 0:
-                    changed = True
-                    continue
-                if out and out[-1][0] == "T":
-                    out[-1] = ("T", out[-1][1] + n)
-                    changed = True
-                    continue
-                out.append((kind, n))
-            else:
-                out.append((kind, n))
-                if len(out) >= 4 and all(t[0] == "S" for t in out[-4:]):
-                    del out[-4:]
-                    changed = True
-        tokens = out
-    return tuple("S" if kind == "S" else f"T^{n}" for kind, n in tokens)
-
-
 def decompose_to_generators(m: SL2Matrix) -> GeneratorWord:
     """Factor ``m`` into a generator word with ``evaluate_word(word) == m``.
 
     Euclidean reduction on the first column: left-multiplications by powers
     of T shrink the upper-left entry modulo the lower-left one, and S swaps
-    the rows, until the matrix is upper triangular.  Word length is
-    O(log max |entry|).  ``-I`` comes out as ``S S``.
+    the rows, until the matrix is upper triangular.  ``-I`` comes out as
+    ``S S``.
+
+    The floor divisions follow the negative-regular continued fraction of
+    ``a/c``, which turns a regular partial quotient ``q`` into a run of
+    about ``q`` steps, each adding ``T^n S``.  So the word has at most
+    ``2 (|q_0| + q_1 + q_2 + ...) + 6`` tokens for the regular partial
+    quotients ``q_i`` of ``a/c``: linear, not logarithmic, in the entries
+    at worst.  The 40-bit matrix ``(856145336725, 194079139008;
+    606087388278, 137393633341)``, whose quotients include 1000, takes
+    2050 tokens.
     """
     a, b, c, d = m.entries()
-    applied: list[tuple[str, int]] = []  # left-applied reductions, in order
+    # Each step left-multiplies m by T^-q or by S, until m = I; so m is
+    # the product of the inverses in step order, collected here.
+    # S^{-1} = S . (-I) with -I central, so each S stands for its inverse
+    # and an odd number of them leaves one trailing S^2 = -I.
+    tokens: list[str] = []
     while c != 0:
         q = a // c
         if q:
             a, b = a - q * c, b - q * d
-            applied.append(("T", -q))
+            tokens.append(f"T^{q}")
         a, b, c, d = -c, -d, a, b
-        applied.append(("S", 0))
-    if a == 1:
-        if b:
-            applied.append(("T", -b))
-    else:  # a == d == -1: clear the sign with S^2 = -I, then the shear
-        applied.append(("S", 0))
-        applied.append(("S", 0))
-        if b:
-            applied.append(("T", b))
-    # applied[-1] ... applied[0] . m = I, so m is the product of the
-    # inverses in application order; S^{-1} = S . (-I) with -I central,
-    # hence an odd number of S inversions leaves one trailing S^2.
-    tokens: list[tuple[str, int]] = []
-    n_s = 0
-    for kind, n in applied:
-        if kind == "T":
-            tokens.append(("T", -n))
-        else:
-            tokens.append(("S", 0))
-            n_s += 1
-    if n_s % 2:
-        tokens.append(("S", 0))
-        tokens.append(("S", 0))
-    return GeneratorWord(_normalize_tokens(tokens))
+        tokens.append("S")
+    if a == -1:  # a == d == -1: clear the sign with S^2 = -I, then the shear
+        tokens += ["S", "S"]
+        b = -b
+    if b:
+        tokens.append(f"T^{b}")
+    if tokens.count("S") % 2:
+        tokens += ["S", "S"]
+    # The T tokens are nonzero and never adjacent, and four S in a row can
+    # only stand at the end; S^4 = I, so drop them.
+    if tokens[-4:] == ["S"] * 4:
+        del tokens[-4:]
+    return GeneratorWord(tuple(tokens))
 
 
 def rho_of(m: SL2Matrix, d: ModularDatum) -> np.ndarray:

@@ -19,6 +19,24 @@ def ising_path():
     return str(fixtures.path("ising"))
 
 
+def write_near_zero_vacuum(tmp_path):
+    """Unitary, symmetric and with a positive vacuum row at --eps 1e-14, but
+    S_00 = 1e-13 is too close to zero for the Verlinde formula."""
+    a = 1e-13
+    b = (1 - a * a) ** 0.5
+    doc = {
+        "central_charge": "0",
+        "modules": [{"label": "0", "h": "0"}, {"label": "x", "h": "1/2"}],
+        "S": [
+            [{"re": repr(a), "im": "0"}, {"re": repr(b), "im": "0"}],
+            [{"re": repr(b), "im": "0"}, {"re": repr(-a), "im": "0"}],
+        ],
+    }
+    path = tmp_path / "near_zero.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def write_perturbed_ising(tmp_path):
     doc = json.loads(fixtures.path("ising").read_text())
     doc["S"][0][0]["re"] = "0.51"
@@ -43,6 +61,18 @@ def test_validate_json_format(runner):
     doc = json.loads(result.output)
     assert doc["ok"] is True
     assert len(doc["checks"]) == 6
+
+
+def test_validate_json_is_strict_json_when_fusion_undefined(runner, tmp_path):
+    result = runner.invoke(main, ["validate", "--format", "json", write_near_zero_vacuum(tmp_path)])
+    assert result.exit_code == 1
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    doc = json.loads(result.output, parse_constant=reject)
+    fusion = next(c for c in doc["checks"] if c["name"] == "fusion_integrality")
+    assert fusion["passed"] is False and fusion["residual"] is None
 
 
 def test_validate_csv_format(runner):
@@ -123,21 +153,7 @@ def test_fusion_gate_on_invalid_datum(runner, tmp_path):
 
 
 def test_fusion_reports_undefined_verlinde(runner, tmp_path):
-    # unitary, symmetric and with a positive vacuum row at --eps 1e-14, but
-    # S_00 = 1e-13 is too close to zero for the Verlinde formula
-    a = 1e-13
-    b = (1 - a * a) ** 0.5
-    doc = {
-        "central_charge": "0",
-        "modules": [{"label": "0", "h": "0"}, {"label": "x", "h": "1/2"}],
-        "S": [
-            [{"re": repr(a), "im": "0"}, {"re": repr(b), "im": "0"}],
-            [{"re": repr(b), "im": "0"}, {"re": repr(-a), "im": "0"}],
-        ],
-    }
-    path = tmp_path / "near_zero.json"
-    path.write_text(json.dumps(doc))
-    result = runner.invoke(main, ["fusion", "--eps", "1e-14", str(path)])
+    result = runner.invoke(main, ["fusion", "--eps", "1e-14", write_near_zero_vacuum(tmp_path)])
     assert result.exit_code == 1
     assert result.stdout == ""
     assert result.stderr == (
@@ -246,6 +262,25 @@ def test_perm_rejects_invalid_input_datum(runner, tmp_path):
     assert "input check FAIL" in result.stderr
 
 
+def test_perm_rejects_colliding_orbifold_labels(runner, tmp_path):
+    # a valid U(1)_4 datum whose labels make off(x, y,z) and off(x,y, z)
+    # print alike
+    labels = ["x", "y,z", "x,y", "z"]
+    s = np.exp(-2j * np.pi * np.outer(range(4), range(4)) / 4) / 2
+    doc = {
+        "central_charge": "1",
+        "modules": [{"label": l, "h": f"{a * a}/8"} for a, l in enumerate(labels)],
+        "S": [[{"re": repr(float(z.real)), "im": repr(float(z.imag))} for z in row] for row in s],
+    }
+    path = tmp_path / "u1_4.json"
+    path.write_text(json.dumps(doc))
+    assert runner.invoke(main, ["check", str(path)]).exit_code == 0
+    result = runner.invoke(main, ["perm", "--k", "2", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: {path}: duplicate module labels: ['off(x,y,z)']\n"
+
+
 # ---------------------------------------------------------------------------
 # restricted
 # ---------------------------------------------------------------------------
@@ -319,6 +354,25 @@ def test_restricted_cli_rejects_non_list_sections(runner, tmp_path, key, value):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert result.stderr == f'error: {spec_path}: "{key}" must be a list\n'
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc["orbits"][0]["characters"]["table"][0][0].update(re="nan"),
+        lambda doc: doc["blocks"][0]["entries"][0]["value"].update(re="inf"),
+    ],
+)
+def test_restricted_cli_rejects_non_finite_values(runner, tmp_path, mutate):
+    spec_path, _ = make_trivial_spec(tmp_path)
+    doc = json.loads(spec_path.read_text())
+    mutate(doc)
+    spec_path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["restricted", str(spec_path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert "non-finite complex value" in result.stderr
 
 
 def test_restricted_cli_permutation_spec(runner, tmp_path):

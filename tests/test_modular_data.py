@@ -85,6 +85,15 @@ def test_parse_rejects_malformed_documents(text):
         parse_modular_datum(text)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [{"re": "nan", "im": "0"}, {"re": "1", "im": "-inf"}, {"re": float("inf"), "im": 0}],
+)
+def test_parse_rejects_non_finite_entries(entry):
+    with pytest.raises(InvalidDatum, match=r"non-finite complex value .* in S\[0\]\[0\]"):
+        parse_modular_datum(json.dumps(dict(MINIMAL, S=[[entry]])))
+
+
 def test_parse_rejects_empty_module_list():
     doc = {"central_charge": "0", "modules": [], "S": []}
     with pytest.raises(InvalidDatum, match="non-empty"):
@@ -184,11 +193,10 @@ def test_t_matrix_zero_case():
 
 
 def test_phase_arithmetic():
-    assert Phase(Fraction(1, 3)) * Phase(Fraction(5, 6)) == Phase(Fraction(1, 6))
-    assert Phase(Fraction(1, 3)) ** 4 == Phase(Fraction(1, 3))
-    assert Phase(Fraction(1, 3)).conjugate() == Phase(Fraction(2, 3))
+    # angles reduce mod 1, so phases compare exactly
+    assert Phase(Fraction(4, 3)) == Phase(Fraction(1, 3))
     assert Phase(Fraction(-1, 4)).angle == Fraction(3, 4)
-    assert complex(Phase(Fraction(1, 2))) == pytest.approx(-1 + 0j)
+    assert Phase(Fraction(1, 2)).value == pytest.approx(-1 + 0j)
 
 
 # ---------------------------------------------------------------------------

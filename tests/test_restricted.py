@@ -1,11 +1,11 @@
+import cmath
 import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from orbmod.modular_data import InvalidDatum, Phase
+from orbmod.modular_data import InvalidDatum
 from orbmod.perm_orbifold import (
     assemble_orbifold_S,
     permutation_restriction_data,
@@ -37,12 +37,24 @@ def trivial_orbits_for(datum):
     return [OrbitSpec(lbl, (), ((),), table) for lbl in datum.labels]
 
 
-def singleton_orbits(group):
-    """Holomorphic case: every element its own orbit, the full group as
+def singleton_orbits():
+    """Holomorphic Z_2 case: every element its own orbit, the full group as
     stabilizer, one twisted module per element."""
+    elems = Z2.elements()
+    return [OrbitSpec(f"V{g}", g, elems, z2_table()) for g in elems]
+
+
+def dual_table(group):
+    """Oracle: the character table of ``group``, row ``t`` holding
+    ``x -> exp(2 pi i sum_f t_f x_f / n_f)``."""
     elems = group.elements()
-    table = group.character_table()
-    return [OrbitSpec(f"V{g}", g, elems, table) for g in elems]
+    factors = group.invariant_factors
+    rows = [
+        [cmath.exp(2j * cmath.pi * sum(a * b / n for a, b, n in zip(t, x, factors)))
+         for x in elems]
+        for t in elems
+    ]
+    return CharacterTable(elems, np.array(rows, dtype=complex), (1,) * len(elems))
 
 
 # ---------------------------------------------------------------------------
@@ -50,15 +62,14 @@ def singleton_orbits(group):
 # ---------------------------------------------------------------------------
 
 def test_group_basics():
-    assert Z2.order == 2
     assert Z2.elements() == ((0,), (1,))
     g = FiniteAbelianGroup((2, 4))
-    assert g.order == 8
+    assert len(g.elements()) == 8
     assert g.add((1, 3), (1, 2)) == (0, 1)
     assert g.neg((1, 1)) == (1, 3)
-    assert g.identity == (0, 0)
+    assert g.sub((1, 1), (1, 1)) == (0, 0)
     assert not g.contains((0, 4))
-    assert TRIVIAL.order == 1 and TRIVIAL.elements() == ((),)
+    assert TRIVIAL.elements() == ((),)
 
 
 def test_group_rejects_bad_factors():
@@ -66,24 +77,20 @@ def test_group_rejects_bad_factors():
         FiniteAbelianGroup((0,))
 
 
-def test_character_phase_exact():
-    z3 = FiniteAbelianGroup((3,))
-    assert z3.character_phase((1,), (2,)) == Phase(Fraction(2, 3))
-    g = FiniteAbelianGroup((2, 2))
-    assert g.character_phase((1, 1), (1, 1)) == Phase(0)
-
-
 @pytest.mark.parametrize("factors", [(), (2,), (3,), (2, 2), (2, 4)])
 def test_character_table_orthogonality(factors):
+    # the character table of each group, fully stabilized, passes validation
     g = FiniteAbelianGroup(factors)
-    table = g.character_table()
+    elems = g.elements()
+    table = dual_table(g)
     gram = table.rows @ table.rows.conj().T
-    assert_allclose(gram, g.order * np.eye(g.order), atol=1e-12)
+    assert_allclose(gram, len(elems) * np.eye(len(elems)), atol=1e-12)
+    assert validate_group_data([OrbitSpec("full", elems[-1], elems, table)]).ok
 
 
 def test_character_table_domain_errors():
     table = z2_table()
-    assert table.value(1, (1,)) == -1
+    assert table.column((1,))[1] == -1
     with pytest.raises(ValueError, match="not in character domain"):
         table.column((2,))
     with pytest.raises(ValueError, match="shape"):
@@ -115,6 +122,17 @@ def test_validate_group_data_detects_corrupted_character():
     ]
     report = validate_group_data(orbits)
     assert not report["character_orthogonality"].passed
+
+
+def test_validate_group_data_detects_nan_character():
+    # NaN compares False with any tolerance, so it must fail explicitly
+    good = OrbitSpec("z2", (1,), ((0,), (1,)), z2_table())
+    rows = np.array([[1, 1], [1, np.nan]], dtype=complex)
+    bad = OrbitSpec("broken", (1,), ((0,), (1,)), CharacterTable(((0,), (1,)), rows, (1, 1)))
+    for orbits in ([bad, good], [good, bad]):
+        check = validate_group_data(orbits)["character_orthogonality"]
+        assert not check.passed
+        assert check.detail == "worst orbit: broken"
 
 
 def test_validate_group_data_detects_twist_outside_stabilizer():
@@ -190,15 +208,15 @@ def test_nonempty_block_requires_twist_in_domain():
 def test_holomorphic_z2_against_manual_formula():
     block = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     blocks = {(i, j): [((0,), block[i, j])] for i in range(2) for j in range(2)}
-    pairs, out = assemble_restricted_S(singleton_orbits(Z2), blocks, Z2)
-    table = Z2.character_table()
+    pairs, out = assemble_restricted_S(singleton_orbits(), blocks, Z2)
+    table = z2_table()
     for x, (i, a) in enumerate(pairs):
         for y, (j, b) in enumerate(pairs):
             g, h = Z2.elements()[i], Z2.elements()[j]
             expected = (
                 block[i, j]
-                * np.conj(table.value(a, h))
-                * table.value(b, Z2.neg(g))
+                * np.conj(table.column(h)[a])
+                * table.column(Z2.neg(g))[b]
                 / 2
             )
             assert abs(out[x, y] - expected) < 1e-12
@@ -209,7 +227,7 @@ def test_transversal_choice_independence():
     # assembled entries must not depend on the choice
     block = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     elems = Z2.elements()
-    orbits = singleton_orbits(Z2)
+    orbits = singleton_orbits()
     blocks_id = {(i, j): [((0,), block[i, j])] for i in range(2) for j in range(2)}
     blocks_h = {(i, j): [(elems[j], block[i, j])] for i in range(2) for j in range(2)}
     _, out_id = assemble_restricted_S(orbits, blocks_id, Z2)
@@ -309,7 +327,7 @@ def test_spec_serialization_round_trip_nontrivial(fibonacci):
 
 def test_parse_restricted_spec_round_trip(ising):
     orbits, blocks, group = parse_restricted_spec(json.dumps(spec_document(ising)))
-    assert group.order == 1
+    assert group.elements() == ((),)
     pairs, out = assemble_restricted_S(orbits, blocks, group)
     assert_allclose(out, ising.s_matrix, atol=1e-15)
     doc = restricted_result_to_dict(pairs, out, orbits)
@@ -326,6 +344,8 @@ def test_parse_restricted_spec_round_trip(ising):
         lambda doc: doc.update(group=[0]),
         lambda doc: doc.update(orbits=5),
         lambda doc: doc.update(blocks=7),
+        lambda doc: doc["orbits"][0]["characters"]["table"][0][0].update(re="nan"),
+        lambda doc: doc["blocks"][0]["entries"][0]["value"].update(re="inf"),
     ],
 )
 def test_parse_restricted_spec_rejects_malformed(ising, mutate):
