@@ -2,15 +2,19 @@
 
 Exit codes: 0 when the requested computation succeeds and every check
 passes, 1 when tolerance-based checks fail, 2 on input errors (unreadable
-files, schema violations, non-prime k, bad flags).  Identical inputs
-produce byte-identical outputs.
+files, schema violations, non-prime k, bad flags, an unwritable ``-o``
+file).  Identical inputs produce byte-identical outputs on one machine;
+the last digits of the Verlinde rounding residual (printed by ``validate``
+and ``fusion``) depend on the summation order of the BLAS build.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import click
@@ -84,11 +88,38 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _file_mode(path: Path) -> int:
+    """The mode ``write_text`` leaves ``path`` with: its own if it exists,
+    else ``0o666`` less the umask."""
+    try:
+        return path.stat().st_mode & 0o777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _write_output(text: str, output: str | None) -> None:
+    """Print ``text``, or write it to ``output`` atomically: a temp file in
+    the target's directory replaces the target, so a failed or interrupted
+    write leaves the old file (or none), never a truncated one."""
     if output is None:
         click.echo(text, nl=False)
-    else:
-        Path(output).write_text(text)
+        return
+    target = Path(output).resolve()  # through a symlink, as write_text goes
+    try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+    except OSError as exc:
+        _fail_input(f"cannot write {output}: {exc}")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.chmod(tmp, _file_mode(target))
+        os.replace(tmp, target)
+    except OSError as exc:
+        _fail_input(f"cannot write {output}: {exc}")
+    finally:
+        Path(tmp).unlink(missing_ok=True)
 
 
 def _report_dict(report: ValidationReport) -> dict:

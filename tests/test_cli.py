@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 
 import numpy as np
@@ -233,6 +234,70 @@ def test_perm_output_byte_identical(runner, tmp_path):
         result = runner.invoke(main, ["perm", "--k", "2", ising_path(), "-o", str(out)])
         assert result.exit_code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+class FailingFile:
+    """A text file that takes half of what it is given, then fails as a full
+    disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("step", ["write", "replace"])
+def test_perm_failed_write_leaves_old_target(runner, tmp_path, monkeypatch, step):
+    out = tmp_path / "orb.json"
+    out.write_text("old\n")
+    if step == "write":
+        real_fdopen = os.fdopen
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: FailingFile(real_fdopen(fd, mode)))
+    else:
+        def fail(src, dst):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, "replace", fail)
+    result = runner.invoke(main, ["perm", "--k", "2", ising_path(), "-o", str(out)])
+    assert result.exit_code == 2
+    assert f"error: cannot write {out}" in result.stderr
+    assert "Traceback" not in result.output
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["orb.json"]  # no temp file left
+
+
+def test_perm_output_mode_matches_plain_write(runner, tmp_path):
+    new, kept = tmp_path / "new.json", tmp_path / "kept.json"
+    kept.write_text("")
+    kept.chmod(0o600)
+    umask = os.umask(0o027)
+    try:
+        for out in (new, kept):
+            result = runner.invoke(main, ["perm", "--k", "2", ising_path(), "-o", str(out)])
+            assert result.exit_code == 0
+    finally:
+        os.umask(umask)
+    assert new.stat().st_mode & 0o777 == 0o640
+    assert kept.stat().st_mode & 0o777 == 0o600
+    assert new.read_bytes() == kept.read_bytes()
+
+
+def test_perm_output_writes_through_symlink(runner, tmp_path):
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    link.symlink_to(real)
+    result = runner.invoke(main, ["perm", "--k", "2", ising_path(), "-o", str(link)])
+    assert result.exit_code == 0
+    assert link.is_symlink()
+    assert parse_modular_datum(real.read_text()).rank == 15
 
 
 def test_perm_stdout_mode_is_parseable(runner):

@@ -21,6 +21,12 @@ GOLDEN = {
     "perm-fibonacci-3": "56920429eab6f762f97caf0a446def0d1481071a9ea14bb345876fe501bbc48f",
     "perm-fibonacci-5": "df59b7bbca95df986e76e6516bb470f79590b23a841b7604df8f73d85756ebda",
     "perm-fibonacci-7": "b87658609e86f7677604523d24486422eeb8b2f868f8fef68b4cd722dfd4548e",
+    "perm-ising-3": "64872c42663fc94e29aa3a07eda862c9662a338e176e4bda5fb2dad25880ae05",
+    # commands run on an orbifold written by `perm -o`; the fusion csv holds
+    # the integer table without the floating residual
+    "orbcheck-ising-3": "a2226dbd2fc6a1929596e2620c798792f9bed9e31a469914d9c5202d9772ff12",
+    "orbfusion-ising-2-csv": "20c208b2bfce830549aa3f3003cdf3557fc07c742f2f74b1346ccd417969b294",
+    "orbfusion-ising-3-csv": "8d45175924ce7d45df7a994da1688d8983992f4b739f256cd3e6eba071b798f4",
     "tmatrix-ising-pretty": "16fd2f6b67a4cc1b0fded8601fc8524c0db60e4684bd47564fa9a9fd2c6025d7",
     "tmatrix-ising-json": "3be032d79277695957fa9d04b8ec9a88dd706fcad7c6122f54d665841bac3b9b",
     "tmatrix-ising-csv": "96c4f2ca631c86b95cda0ed64b17aca498171591bd632f2107beab0ef6aeeef7",
@@ -54,6 +60,12 @@ def _perm(tmp_path, name, k):
     return out.read_bytes()
 
 
+def _on_orbifold(tmp_path, name, k, args):
+    # `check` prints its input path, so the orbifold goes to a relative one
+    _perm(tmp_path, name, k)
+    return _invoke([*args, "orb.json"])
+
+
 def _spec_text():
     spec = restricted_spec_to_dict(*permutation_restriction_data(fixtures.load("ising"), 2))
     return json.dumps(spec, indent=2, sort_keys=True) + "\n"
@@ -71,6 +83,12 @@ def _output(case, tmp_path):
     if kind == "perm":
         name, k = rest.split("-")
         return _perm(tmp_path, name, int(k))
+    if kind == "orbcheck":
+        name, k = rest.split("-")
+        return _on_orbifold(tmp_path, name, int(k), ["check"])
+    if kind == "orbfusion":
+        name, k, fmt = rest.split("-")
+        return _on_orbifold(tmp_path, name, int(k), ["fusion", "--format", fmt])
     if kind in ("tmatrix", "fusion"):
         name, fmt = rest.split("-")
         return _invoke([kind, "--format", fmt, str(fixtures.path(name))])
@@ -82,6 +100,7 @@ def _output(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_cli_output_bytes_match_golden(case, tmp_path):
+def test_cli_output_bytes_match_golden(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     digest = hashlib.sha256(_output(case, tmp_path)).hexdigest()
     assert digest == GOLDEN[case]

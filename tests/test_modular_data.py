@@ -1,12 +1,16 @@
 import json
+import tracemalloc
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from orbmod import fixtures
+from orbmod import fixtures, modular_data
 from orbmod.modular_data import (
+    DEFAULT_EPS_INT,
+    FusionTensor,
     InvalidDatum,
     ModularDatum,
     ModuleInfo,
@@ -18,6 +22,7 @@ from orbmod.modular_data import (
     validate_modular_datum,
     verlinde_fusion,
 )
+from orbmod.perm_orbifold import build_orbifold_datum
 
 MINIMAL = {
     "central_charge": "8",
@@ -260,6 +265,110 @@ def test_fusion_rejects_zero_vacuum_entry():
     )
     with pytest.raises(InvalidDatum, match="near-zero"):
         verlinde_fusion(d)
+
+
+def su2(level):
+    """SU(2)_level: S_ij = sqrt(2/(l+2)) sin(pi (i+1)(j+1)/(l+2)), h_j = j(j+2)/(4(l+2))."""
+    i = np.arange(1, level + 2)
+    s = np.sqrt(2 / (level + 2)) * np.sin(np.pi * np.outer(i, i) / (level + 2))
+    modules = [ModuleInfo(f"j{j}", Fraction(j * (j + 2), 4 * (level + 2))) for j in range(level + 1)]
+    return ModularDatum(Fraction(3 * level, level + 2), modules, s)
+
+
+def u1(two_m):
+    """Pointed U(1)_{2m}: complex S with the charge conjugation a -> -a."""
+    a = np.arange(two_m)
+    s = np.exp(-2j * np.pi * np.outer(a, a) / two_m) / np.sqrt(two_m)
+    modules = [ModuleInfo(f"q{x}", Fraction(x * x, 2 * two_m)) for x in a]
+    return ModularDatum(1, modules, s)
+
+
+def deligne(d1, d2):
+    modules = [
+        ModuleInfo(f"{m1.label}*{m2.label}", m1.weight + m2.weight)
+        for m1 in d1.modules
+        for m2 in d2.modules
+    ]
+    return ModularDatum(
+        d1.central_charge + d2.central_charge, modules, np.kron(d1.s_matrix, d2.s_matrix)
+    )
+
+
+SOURCES = {
+    "su2_1": lambda: su2(1),
+    "su2_2": lambda: su2(2),
+    "su2_3": lambda: su2(3),
+    "su2_4": lambda: su2(4),
+    "su2_10": lambda: su2(10),
+    "u1_4": lambda: u1(4),
+    "u1_6": lambda: u1(6),
+    "u1_8": lambda: u1(8),
+    "su2_1*u1_4": lambda: deligne(su2(1), u1(4)),
+}
+
+
+@cache
+def family_datum(name, k):
+    """A generated source datum (k = 1) or its k-fold permutation orbifold."""
+    d = SOURCES[name]()
+    return d if k == 1 else build_orbifold_datum(d, k, "minus").datum
+
+
+def einsum_fusion(d):
+    """Oracle: the three-operand einsum, rounded the way the library rounds."""
+    s = d.s_matrix
+    raw = np.einsum("il,jl,ml->ijm", s, s, s.conj() / s[0])
+    rounded = np.round(raw.real)
+    return FusionTensor(rounded.astype(int), float(np.max(np.abs(raw - rounded))))
+
+
+def verdicts(report):
+    return [(c.name, c.passed) for c in report.checks]
+
+
+@pytest.mark.parametrize(
+    "name,k,rank",
+    [
+        ("su2_1", 1, 2), ("su2_1", 2, 9), ("su2_1", 3, 20),
+        ("su2_2", 2, 15), ("su2_2", 3, 35),
+        ("su2_3", 1, 4), ("su2_3", 2, 22), ("su2_3", 3, 56),
+        ("su2_4", 3, 85), ("su2_10", 1, 11), ("su2_10", 2, 99),
+        ("u1_4", 1, 4), ("u1_4", 2, 22), ("u1_4", 3, 56),
+        ("u1_6", 1, 6), ("u1_6", 2, 39), ("u1_8", 2, 60),
+        ("su2_1*u1_4", 1, 8), ("su2_1*u1_4", 2, 60),
+    ],
+)
+def test_fusion_matches_einsum_oracle(name, k, rank, monkeypatch):
+    d = family_datum(name, k)
+    assert d.rank == rank
+    tensor = verlinde_fusion(d)
+    oracle = einsum_fusion(d)
+    assert np.array_equal(tensor.table, oracle.table)
+    assert abs(tensor.residual - oracle.residual) <= 1e-13
+    assert tensor.residual <= DEFAULT_EPS_INT
+
+    report = validate_modular_datum(d)
+    monkeypatch.setattr(modular_data, "verlinde_fusion", einsum_fusion)
+    assert verdicts(report) == verdicts(validate_modular_datum(d))
+    assert report.ok
+
+
+def test_fusion_scratch_is_small_beside_the_table():
+    d = family_datum("su2_10", 2)  # N = 99, a 7.8 MB table
+    tracemalloc.start()
+    try:
+        tensor = verlinde_fusion(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < tensor.table.nbytes + 4 * 2**20
+
+
+def test_fusion_tensor_keeps_an_int_table_without_copying():
+    table = np.zeros((2, 2, 2), dtype=int)
+    tensor = FusionTensor(table, 0.0)
+    assert tensor.table is table
+    assert not table.flags.writeable
 
 
 # ---------------------------------------------------------------------------
