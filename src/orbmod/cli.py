@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import sys
-import tempfile
 from pathlib import Path
 
 import click
@@ -88,38 +88,51 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _file_mode(path: Path) -> int:
-    """The mode ``write_text`` leaves ``path`` with: its own if it exists,
-    else ``0o666`` less the umask."""
-    try:
-        return path.stat().st_mode & 0o777
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        return 0o666 & ~umask
-
-
 def _write_output(text: str, output: str | None) -> None:
-    """Print ``text``, or write it to ``output`` atomically: a temp file in
-    the target's directory replaces the target, so a failed or interrupted
-    write leaves the old file (or none), never a truncated one."""
+    """Print ``text``, or write it to ``output``.
+
+    A regular or new file is replaced atomically: ``text`` goes to a temp
+    file in the target's directory that is renamed over the target, so a
+    run that fails or is killed mid-write leaves the old file (or none),
+    never a truncated one.  No fsync is made, so this does not hold across
+    a system crash.  The new file keeps the old one's permission bits, or
+    gets ``0o666`` less the umask, but not its hard links, owner, ACLs or
+    xattrs.  Anything else (``/dev/null``, ``/dev/stdout``, a FIFO), and a
+    file whose directory refuses a temp file, is written in place."""
     if output is None:
         click.echo(text, nl=False)
         return
-    target = Path(output).resolve()  # through a symlink, as write_text goes
     try:
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+        try:
+            old = os.stat(output)  # through a symlink, as write_text goes
+        except FileNotFoundError:
+            old = None
+        if old is not None and not stat.S_ISREG(old.st_mode):
+            Path(output).write_text(text)
+        else:
+            _replace_file(Path(output).resolve(), text, old)
     except OSError as exc:
         _fail_input(f"cannot write {output}: {exc}")
+
+
+def _replace_file(target: Path, text: str, old: os.stat_result | None) -> None:
+    tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}")
+    try:
+        # mode 0o666 less the umask, as write_text creates a file
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except PermissionError:
+        if old is None:
+            raise
+        target.write_text(text)
+        return
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        os.chmod(tmp, _file_mode(target))
+        if old is not None:
+            os.chmod(tmp, old.st_mode & 0o777)
         os.replace(tmp, target)
-    except OSError as exc:
-        _fail_input(f"cannot write {output}: {exc}")
     finally:
-        Path(tmp).unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
 
 
 def _report_dict(report: ValidationReport) -> dict:

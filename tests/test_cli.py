@@ -1,6 +1,8 @@
 import json
 import os
+import stat
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -298,6 +300,43 @@ def test_perm_output_writes_through_symlink(runner, tmp_path):
     assert result.exit_code == 0
     assert link.is_symlink()
     assert parse_modular_datum(real.read_text()).rank == 15
+
+
+def test_perm_output_writes_a_fifo_in_place(runner, tmp_path):
+    # A device or FIFO target (/dev/null, /dev/stdout, a process
+    # substitution) is written, not replaced by a regular file.
+    plain, fifo = tmp_path / "plain.json", tmp_path / "fifo"
+    assert runner.invoke(main, ["perm", "--k", "2", ising_path(), "-o", str(plain)]).exit_code == 0
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    result = runner.invoke(main, ["perm", "--k", "2", ising_path(), "-o", str(fifo)])
+    reader.join(timeout=30)
+    assert result.exit_code == 0
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert received == [plain.read_bytes()]
+
+
+def test_perm_output_in_place_when_directory_refuses_temp(runner, tmp_path, monkeypatch):
+    # A writable file in a directory the user cannot write to is still
+    # written, in place.
+    out = tmp_path / "orb.json"
+    out.write_text("old\n")
+    inode = out.stat().st_ino
+    real_open = os.open
+
+    def refuse_in_tmp_path(path, flags, mode=0o777, **kw):
+        if os.path.dirname(path) == str(tmp_path):
+            raise PermissionError(13, "Permission denied", path)
+        return real_open(path, flags, mode, **kw)
+
+    monkeypatch.setattr(os, "open", refuse_in_tmp_path)
+    result = runner.invoke(main, ["perm", "--k", "2", ising_path(), "-o", str(out)])
+    assert result.exit_code == 0
+    assert out.stat().st_ino == inode
+    assert parse_modular_datum(out.read_text()).rank == 15
+    assert [p.name for p in tmp_path.iterdir()] == ["orb.json"]
 
 
 def test_perm_stdout_mode_is_parseable(runner):
