@@ -15,9 +15,11 @@ import math
 import os
 import stat
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import click
+import numpy as np
 
 from .modular_data import (
     DEFAULT_EPS,
@@ -31,7 +33,7 @@ from .modular_data import (
     t_matrix,
     validate_modular_datum,
 )
-from .perm_orbifold import build_orbifold_datum, orbifold_datum_to_dict
+from .perm_orbifold import build_orbifold_datum, module_count, orbifold_datum_to_dict
 from .restricted import (
     assemble_restricted_S,
     parse_restricted_spec,
@@ -84,8 +86,49 @@ def _load_datum(path: str) -> ModularDatum:
         _fail_input(f"{path}: {exc}")
 
 
+_INT_TEXT = {i: str(i) for i in range(1024)}
+
+
 def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    for any document whose dict keys are strings.
+
+    With ``indent`` set, CPython's ``json`` leaves its C encoder for a
+    pure-Python one that yields one chunk per token (over a million for a
+    6.9 MB fusion table).  This encoder instead joins each all-int or
+    all-str list in a single ``str.join`` over C-level callables."""
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(o, newline: str) -> str:
+    # ``newline`` is "\n" plus the indent of the line ``o`` starts on
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    inner = newline + "  "
+    sep = "," + inner
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        body = sep.join([
+            encode_basestring_ascii(k) + ": " + _encode(v, inner)
+            for k, v in sorted(o.items())
+        ])
+        return "{" + inner + body + newline + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        kinds = set(map(type, o))
+        if kinds == {int}:
+            try:
+                body = sep.join(map(_INT_TEXT.__getitem__, o))
+            except KeyError:  # an int outside the table
+                body = sep.join(map(int.__repr__, o))
+        elif kinds == {str}:
+            body = sep.join(map(encode_basestring_ascii, o))
+        else:
+            body = sep.join([_encode(v, inner) for v in o])
+        return "[" + inner + body + newline + "]"
+    return json.dumps(o)  # float, bool, None and lone ints, spelled as json does
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -176,19 +219,23 @@ def _render_report(report: ValidationReport, fmt: str) -> str:
 def render_fusion_table(fusion: FusionTensor, labels) -> str:
     """One line per unordered module pair: ``a x b = m1 + 2*m2 + ...``."""
     n = fusion.rank
-    table = fusion.table
-    lines = []
-    for i in range(n):
-        for j in range(i, n):
-            terms = []
-            for m in range(n):
-                mult = int(table[i, j, m])
-                if mult == 1:
-                    terms.append(labels[m])
-                elif mult > 1:
-                    terms.append(f"{mult}*{labels[m]}")
-            lines.append(f"{labels[i]} x {labels[j]} = " + (" + ".join(terms) or "0"))
+    terms = [[[] for _ in range(n)] for _ in range(n)]
+    for i, j, m, mult in _nonzero_entries(fusion.table):
+        if j >= i and mult > 0:
+            terms[i][j].append(labels[m] if mult == 1 else f"{mult}*{labels[m]}")
+    lines = [
+        f"{labels[i]} x {labels[j]} = " + (" + ".join(terms[i][j]) or "0")
+        for i in range(n)
+        for j in range(i, n)
+    ]
     return "\n".join(lines) + "\n"
+
+
+def _nonzero_entries(table: np.ndarray):
+    """``(i, j, m, table[i, j, m])`` as Python ints for every nonzero
+    entry, in C order."""
+    where = np.nonzero(table)
+    return zip(*(a.tolist() for a in where), table[where].tolist())
 
 
 @click.group()
@@ -253,12 +300,8 @@ def fusion(input_path, eps, eps_int, fmt):
         click.echo(_dump_json(doc), nl=False)
     elif fmt == "csv":
         lines = ["i,j,m,N"]
-        n = tensor.rank
-        for i in range(n):
-            for j in range(n):
-                for m in range(n):
-                    if tensor.table[i, j, m]:
-                        lines.append(f"{labels[i]},{labels[j]},{labels[m]},{tensor.table[i, j, m]}")
+        for i, j, m, mult in _nonzero_entries(tensor.table):
+            lines.append(f"{labels[i]},{labels[j]},{labels[m]},{mult}")
         click.echo("\n".join(lines))
     else:
         click.echo(render_fusion_table(tensor, labels), nl=False)
@@ -312,6 +355,16 @@ def perm(input_path, k, output, convention, eps, eps_int):
     if not is_prime(k):
         _fail_input(f"k must be prime, got {k}")
     datum = _load_datum(input_path)
+    n_out = module_count(datum.rank, k)
+    need = 8 * n_out**3 + 16 * n_out**2  # validation's int fusion table and S
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        # str() refuses ints of more than 4300 digits, which k ~ 10**4 reaches
+        count = n_out if n_out < 10**15 else f"about 10^{math.log10(n_out):.0f}"
+        _fail_input(
+            f"the k={k} orbifold of {input_path} has {count} modules; validating "
+            f"it needs more than the {have / 2**30:.3g} GiB of physical memory"
+        )
     in_report = validate_modular_datum(datum, eps, eps_int)
     if not in_report.ok:
         for c in in_report.failures():

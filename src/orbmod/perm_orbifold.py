@@ -32,6 +32,7 @@ unitarity and modular-relation checks.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -295,13 +296,20 @@ def orbifold_t_phases(
 
 
 def label_text(label: OrbifoldLabel, source: ModularDatum) -> str:
-    """Readable unique label string, using the source module labels."""
+    """Readable unique label string, using the source module labels.
+
+    Inside ``off(...)`` a source label holding ``,`` or ``"`` is written
+    as a JSON string, so that the factor list splits one way only."""
     names = source.labels
     if isinstance(label, Diagonal):
         return f"diag({names[label.i]};{label.a})"
     if isinstance(label, OffDiagonal):
-        return "off(" + ",".join(names[i] for i in label.indices) + ")"
+        return "off(" + ",".join(_factor_text(names[i]) for i in label.indices) + ")"
     return f"tw{label.r}({names[label.i]};{label.a})"
+
+
+def _factor_text(name: str) -> str:
+    return json.dumps(name) if "," in name or '"' in name else name
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from orbmod import fixtures, modular_data
+from orbmod import fixtures, modular_data, perm_orbifold
 from orbmod.cli import format_complex_csv, main, render_fusion_table
 from orbmod.modular_data import parse_modular_datum, verlinde_fusion
+from orbmod.perm_orbifold import module_count
 
 
 @pytest.fixture()
@@ -366,9 +367,9 @@ def test_perm_rejects_invalid_input_datum(runner, tmp_path):
     assert "input check FAIL" in result.stderr
 
 
-def test_perm_rejects_colliding_orbifold_labels(runner, tmp_path):
-    # a valid U(1)_4 datum whose labels make off(x, y,z) and off(x,y, z)
-    # print alike
+def test_perm_quotes_source_labels_holding_commas(runner, tmp_path):
+    # a valid U(1)_4 datum whose labels would print off(x, y,z) and
+    # off(x,y, z) alike if the factors were joined unquoted
     labels = ["x", "y,z", "x,y", "z"]
     s = np.exp(-2j * np.pi * np.outer(range(4), range(4)) / 4) / 2
     doc = {
@@ -380,9 +381,28 @@ def test_perm_rejects_colliding_orbifold_labels(runner, tmp_path):
     path.write_text(json.dumps(doc))
     assert runner.invoke(main, ["check", str(path)]).exit_code == 0
     result = runner.invoke(main, ["perm", "--k", "2", str(path)])
+    assert result.exit_code == 0, result.stderr
+    out = [m["label"] for m in json.loads(result.stdout)["modules"]]
+    assert len(set(out)) == len(out) == module_count(4, 2)
+    assert {'off(x,"y,z")', 'off("x,y",z)', 'off(x,z)'} <= set(out)
+    assert 'off("y,z","x,y")' in out and "diag(y,z;1)" in out
+
+
+@pytest.mark.parametrize(
+    "k, count",
+    # at k=13 the dense S alone would take about 243 GB; the k=10007 count
+    # has too many digits for str()
+    [(13, "123147"), (10007, "about 10^4771")],
+)
+def test_perm_refuses_orbifold_larger_than_memory(runner, monkeypatch, k, count):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("orbifold modules enumerated")
+
+    monkeypatch.setattr(perm_orbifold, "enumerate_orbifold_modules", no_allocation)
+    result = runner.invoke(main, ["perm", "--k", str(k), ising_path()])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
-    assert result.stderr == f"error: {path}: duplicate module labels: ['off(x,y,z)']\n"
+    assert result.stderr.startswith(f"error: the k={k} orbifold of {ising_path()} has {count} modules;")
 
 
 # ---------------------------------------------------------------------------
