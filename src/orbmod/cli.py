@@ -32,6 +32,7 @@ from .modular_data import (
     parse_modular_datum,
     t_matrix,
     validate_modular_datum,
+    validation_bytes,
 )
 from .perm_orbifold import build_orbifold_datum, module_count, orbifold_datum_to_dict
 from .restricted import (
@@ -86,17 +87,14 @@ def _load_datum(path: str) -> ModularDatum:
         _fail_input(f"{path}: {exc}")
 
 
-_INT_TEXT = {i: str(i) for i in range(1024)}
-
-
 def _dump_json(doc: dict) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte,
     for any document whose dict keys are strings.
 
     With ``indent`` set, CPython's ``json`` leaves its C encoder for a
     pure-Python one that yields one chunk per token (over a million for a
-    6.9 MB fusion table).  This encoder instead joins each all-int or
-    all-str list in a single ``str.join`` over C-level callables."""
+    6.9 MB fusion table).  This encoder instead joins each all-int list
+    in a single ``str.join`` over ``int.__repr__``."""
     return _encode(doc, "\n") + "\n"
 
 
@@ -117,14 +115,8 @@ def _encode(o, newline: str) -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        kinds = set(map(type, o))
-        if kinds == {int}:
-            try:
-                body = sep.join(map(_INT_TEXT.__getitem__, o))
-            except KeyError:  # an int outside the table
-                body = sep.join(map(int.__repr__, o))
-        elif kinds == {str}:
-            body = sep.join(map(encode_basestring_ascii, o))
+        if set(map(type, o)) == {int}:
+            body = sep.join(map(int.__repr__, o))
         else:
             body = sep.join([_encode(v, inner) for v in o])
         return "[" + inner + body + newline + "]"
@@ -356,7 +348,7 @@ def perm(input_path, k, output, convention, eps, eps_int):
         _fail_input(f"k must be prime, got {k}")
     datum = _load_datum(input_path)
     n_out = module_count(datum.rank, k)
-    need = 8 * n_out**3 + 16 * n_out**2  # validation's int fusion table and S
+    need = validation_bytes(n_out)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         # str() refuses ints of more than 4300 digits, which k ~ 10**4 reaches

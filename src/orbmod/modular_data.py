@@ -38,6 +38,7 @@ __all__ = [
     "validate_modular_datum",
     "t_matrix",
     "verlinde_fusion",
+    "validation_bytes",
     "quantum_dimensions",
     "format_complex",
 ]
@@ -374,6 +375,13 @@ def verlinde_fusion(d: ModularDatum) -> FusionTensor:
         table[i0:i1, i0:] = r
         table[i0:, i0:i1] = r.transpose(1, 0, 2)
     return FusionTensor(table, residual)
+
+
+def validation_bytes(rank: int) -> int:
+    """Bytes that :func:`validate_modular_datum` holds at least for a datum
+    of this rank: the ``rank**3`` integer table of :func:`verlinde_fusion`
+    and the complex S-matrix."""
+    return np.dtype(int).itemsize * rank**3 + np.dtype(complex).itemsize * rank**2
 
 
 def quantum_dimensions(d: ModularDatum) -> tuple[np.ndarray, float]:

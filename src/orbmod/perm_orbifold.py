@@ -422,7 +422,7 @@ def permutation_restriction_data(
         orbits.append(OrbitSpec(f"diag({d.labels[i]})", (0,), elems, full_table))
         kinds.append(("diag", i))
     for lab in off:
-        text = ",".join(d.labels[i] for i in lab.indices)
+        text = ",".join(_factor_text(d.labels[i]) for i in lab.indices)
         orbits.append(OrbitSpec(f"off({text})", (0,), ((0,),), trivial_table))
         kinds.append(("off", lab.indices))
     for r in range(1, k):

@@ -11,7 +11,8 @@ from click.testing import CliRunner
 from orbmod import fixtures, modular_data, perm_orbifold
 from orbmod.cli import format_complex_csv, main, render_fusion_table
 from orbmod.modular_data import parse_modular_datum, verlinde_fusion
-from orbmod.perm_orbifold import module_count
+from orbmod.perm_orbifold import module_count, permutation_restriction_data
+from orbmod.restricted import restricted_spec_to_dict
 
 
 @pytest.fixture()
@@ -386,6 +387,15 @@ def test_perm_quotes_source_labels_holding_commas(runner, tmp_path):
     assert len(set(out)) == len(out) == module_count(4, 2)
     assert {'off(x,"y,z")', 'off("x,y",z)', 'off(x,z)'} <= set(out)
     assert 'off("y,z","x,y")' in out and "diag(y,z;1)" in out
+    # the exported restricted spec names its orbits the same way
+    spec = restricted_spec_to_dict(*permutation_restriction_data(parse_modular_datum(doc), 2))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    result = runner.invoke(main, ["restricted", str(spec_path)])
+    assert result.exit_code == 0, result.stderr
+    pairs = [(p["orbit"], p["character"]) for p in json.loads(result.stdout)["pairs"]]
+    assert len(set(pairs)) == len(pairs) == module_count(4, 2)
+    assert {'off(x,"y,z")', 'off("x,y",z)', 'off("y,z","x,y")'} <= {o for o, _ in pairs}
 
 
 @pytest.mark.parametrize(
