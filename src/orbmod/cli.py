@@ -87,6 +87,10 @@ def _load_datum(path: str) -> ModularDatum:
         _fail_input(f"{path}: {exc}")
 
 
+# fusion tables hold small ints, and a lookup here is cheaper than int.__repr__
+_INT_TEXT = {i: str(i) for i in range(1024)}
+
+
 def _dump_json(doc: dict) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte,
     for any document whose dict keys are strings.
@@ -94,7 +98,7 @@ def _dump_json(doc: dict) -> str:
     With ``indent`` set, CPython's ``json`` leaves its C encoder for a
     pure-Python one that yields one chunk per token (over a million for a
     6.9 MB fusion table).  This encoder instead joins each all-int list
-    in a single ``str.join`` over ``int.__repr__``."""
+    in a single ``str.join`` over precomputed strings of small ints."""
     return _encode(doc, "\n") + "\n"
 
 
@@ -116,7 +120,10 @@ def _encode(o, newline: str) -> str:
         if not o:
             return "[]"
         if set(map(type, o)) == {int}:
-            body = sep.join(map(int.__repr__, o))
+            try:
+                body = sep.join(map(_INT_TEXT.__getitem__, o))
+            except KeyError:  # an int outside the table
+                body = sep.join(map(int.__repr__, o))
         else:
             body = sep.join([_encode(v, inner) for v in o])
         return "[" + inner + body + newline + "]"
