@@ -78,11 +78,16 @@ def _fail_input(message: str) -> None:
     sys.exit(2)
 
 
+def _read_input(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        _fail_input(f"cannot read {path}: {exc}")
+
+
 def _load_datum(path: str) -> ModularDatum:
     try:
-        return parse_modular_datum(Path(path).read_text())
-    except OSError as exc:
-        _fail_input(f"cannot read {path}: {exc}")
+        return parse_modular_datum(_read_input(path))
     except InvalidDatum as exc:
         _fail_input(f"{path}: {exc}")
 
@@ -400,11 +405,7 @@ def perm(input_path, k, output, convention, eps, eps_int):
 def restricted(input_path, output, eps):
     """Assemble a restricted S-matrix from orbit/character/block data."""
     try:
-        text = Path(input_path).read_text()
-    except OSError as exc:
-        _fail_input(f"cannot read {input_path}: {exc}")
-    try:
-        orbits, blocks, group = parse_restricted_spec(text)
+        orbits, blocks, group = parse_restricted_spec(_read_input(input_path))
     except InvalidDatum as exc:
         _fail_input(f"{input_path}: {exc}")
     report = validate_group_data(orbits, eps)

@@ -225,7 +225,7 @@ def parse_rational(value) -> Fraction:
     """Parse an exact rational from a string like ``"1/2"`` or ``"8"``."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -237,7 +237,10 @@ def parse_rational(value) -> Fraction:
 
 def _parse_decimal(value, where: str) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as exc:  # an int beyond the float range
+            raise InvalidDatum(f"non-finite complex value (int too large) in {where}") from exc
     if isinstance(value, str):
         try:
             return float(value)
@@ -267,7 +270,7 @@ def _json_object(document: str | dict, required: set[str]) -> dict:
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too many digits, too deep
             raise InvalidDatum(f"malformed JSON document: {exc}") from exc
     if not isinstance(document, dict):
         raise InvalidDatum("top-level JSON value must be an object")

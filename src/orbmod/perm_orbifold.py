@@ -218,67 +218,54 @@ def assemble_orbifold_S(d: ModularDatum, k: int) -> np.ndarray:
       ``B[r, s][i, j] exp(2 pi i (s a + r b) / k) / k``;
     - twisted vs off-diagonal: 0.
 
-    The matrix is filled symmetrically (upper triangle mirrored), so the
+    Only the blocks on or above the block diagonal are computed (twisted
+    sectors ``r <= s``); the upper triangle is then mirrored, so the
     output is exactly symmetric.
     """
     _require_prime(k)
     n = d.rank
     s = d.s_matrix
-    labels = orbifold_labels(d, k)
-    n_diag = n * k
     off_tuples = np.array(
-        [lab.indices for lab in labels if isinstance(lab, OffDiagonal)], dtype=int
+        [lab.indices for lab in orbifold_labels(d, k) if isinstance(lab, OffDiagonal)],
+        dtype=int,
     ).reshape(-1, k)
+    n_diag = n * k
     n_off = off_tuples.shape[0]
-    n_tw = n * k * (k - 1)
-    total = n_diag + n_off + n_tw
+    base = n_diag + n_off
+    total = module_count(n, k)
 
     out = np.zeros((total, total), dtype=complex)
-    ones_k = np.ones((k, k))
 
     # diagonal vs diagonal: expand (i, j) values over the (a, b) eigenindices
-    out[:n_diag, :n_diag] = np.kron(s**k / k, ones_k)
+    out[:n_diag, :n_diag] = np.kron(s**k / k, np.ones((k, k)))
 
-    if n_off:
-        sl_off = slice(n_diag, n_diag + n_off)
-        # off-diagonal vs off-diagonal, one rotation at a time
-        oo = np.zeros((n_off, n_off), dtype=complex)
-        for rot in range(k):
-            prod = np.ones((n_off, n_off), dtype=complex)
-            for j in range(k):
-                prod *= s[off_tuples[:, j][:, None], off_tuples[:, (j + rot) % k][None, :]]
-            oo += prod
-        out[sl_off, sl_off] = oo
+    # off-diagonal vs off-diagonal, one rotation at a time
+    for rot in range(k):
+        prod = np.ones((n_off, n_off), dtype=complex)
+        for j in range(k):
+            prod *= s[off_tuples[:, j][:, None], off_tuples[:, (j + rot) % k][None, :]]
+        out[n_diag:base, n_diag:base] += prod
 
-        # off-diagonal vs diagonal (independent of the diagonal eigenindex)
-        od = np.ones((n_off, n), dtype=complex)
-        for m in range(k):
-            od *= s[off_tuples[:, m], :]
-        od = np.repeat(od, k, axis=1)
-        out[sl_off, :n_diag] = od
-        out[:n_diag, sl_off] = od.T
-
-    # twisted sectors
-    base = n_diag + n_off
-    sector = {}  # r -> slice of the (i, a) block for that sector
-    for idx, r in enumerate(range(1, k)):
-        sector[r] = slice(base + idx * n * k, base + (idx + 1) * n * k)
+    # diagonal vs off-diagonal (independent of the diagonal eigenindex)
+    od = np.ones((n_off, n), dtype=complex)
+    for m in range(k):
+        od *= s[off_tuples[:, m], :]
+    out[:n_diag, n_diag:base] = np.repeat(od, k, axis=1).T
 
     def eig(num):
         return np.exp(2j * np.pi * num / k)
 
+    def sector(r):  # rows of the (i, a) block of twisted sector r
+        return slice(base + (r - 1) * n * k, base + r * n * k)
+
     for r in range(1, k):
-        # twisted (r, i, a) vs diagonal (j, b): S[i, j] e^{2 pi i r b / k} / k
+        # diagonal (j, b) vs twisted (r, i, a): S[i, j] e^{2 pi i r b / k} / k
         phases_b = eig(r * np.arange(k))
-        td = np.kron(s / k, np.outer(np.ones(k), phases_b))
-        out[sector[r], :n_diag] = td
-        out[:n_diag, sector[r]] = td.T
-        for s_idx in range(1, k):
+        out[:n_diag, sector(r)] = np.kron(s / k, np.outer(np.ones(k), phases_b)).T
+        for s_idx in range(r, k):
             block = twisted_sector_block(d, k, r, s_idx)
-            phase_ab = eig(
-                np.add.outer(s_idx * np.arange(k), r * np.arange(k))
-            )
-            out[sector[r], sector[s_idx]] = np.kron(block / k, phase_ab)
+            phase_ab = eig(np.add.outer(s_idx * np.arange(k), r * np.arange(k)))
+            out[sector(r), sector(s_idx)] = np.kron(block / k, phase_ab)
 
     # exact symmetry: mirror the upper triangle
     return np.triu(out) + np.triu(out, 1).T

@@ -198,7 +198,10 @@ def validate_group_data(
             worst_orth, worst_orth_at = res, spec.label
         if spec.twist not in set(spec.stabilizer):
             bad_twist.append(spec.label)
-        res = float(abs(sum(d * d for d in table.dims) - h))
+        try:
+            res = float(abs(sum(d * d for d in table.dims) - h))
+        except OverflowError:  # dims beyond the float range
+            res = np.inf
         if res > worst_dim:
             worst_dim, worst_dim_at = res, spec.label
     checks = (
@@ -330,7 +333,7 @@ def parse_restricted_spec(
             raise InvalidDatum(f'"{key}" must be a list')
     try:
         group = FiniteAbelianGroup(tuple(document["group"]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidDatum(f'bad "group" entry: {exc}') from exc
 
     orbits = []
@@ -357,7 +360,7 @@ def parse_restricted_spec(
                     table,
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidDatum(f"bad orbit entry {where}: {exc}") from exc
 
     blocks: dict[tuple[int, int], list[tuple[GroupElement, complex]]] = {}
@@ -369,7 +372,7 @@ def parse_restricted_spec(
                 (_parse_element(e["kappa"], where), _parse_complex(e["value"], where))
                 for e in entry["entries"]
             ]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidDatum(f"bad block entry {where}: {exc}") from exc
     return orbits, blocks, group
 

@@ -119,6 +119,28 @@ def test_check_terse_output(runner):
     assert result.output.startswith("PASS")
 
 
+def test_check_prints_failing_checks(runner, tmp_path):
+    path = write_perturbed_ising(tmp_path)
+    result = runner.invoke(main, ["check", path])
+    assert result.exit_code == 1
+    *fails, verdict = result.stdout.splitlines()
+    assert fails and all(line.startswith("FAIL ") for line in fails)
+    assert fails[0].startswith("FAIL unitary residual=")
+    assert verdict == f"FAIL {path}: {6 - len(fails)}/6 checks"
+
+
+@pytest.mark.parametrize("command", [["check"], ["perm", "--k", "2"], ["restricted"]])
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{"], ids=["missing", "not-utf8"])
+def test_unreadable_input_is_input_error(runner, tmp_path, command, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_bytes(content)
+    result = runner.invoke(main, [*command, str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: cannot read {path}: ")
+
+
 def test_validate_deterministic(runner):
     a = runner.invoke(main, ["validate", "--format", "json", ising_path()])
     b = runner.invoke(main, ["validate", "--format", "json", ising_path()])
@@ -495,6 +517,8 @@ def test_restricted_cli_rejects_non_list_sections(runner, tmp_path, key, value):
     [
         lambda doc: doc["orbits"][0]["characters"]["table"][0][0].update(re="nan"),
         lambda doc: doc["blocks"][0]["entries"][0]["value"].update(re="inf"),
+        lambda doc: doc["orbits"][0]["characters"]["table"][0][0].update(re=10**400),
+        lambda doc: doc["blocks"][0]["entries"][0]["value"].update(re=10**400),
     ],
 )
 def test_restricted_cli_rejects_non_finite_values(runner, tmp_path, mutate):
@@ -507,6 +531,32 @@ def test_restricted_cli_rejects_non_finite_values(runner, tmp_path, mutate):
     assert isinstance(result.exception, SystemExit)
     assert result.stdout == ""
     assert "non-finite complex value" in result.stderr
+
+
+@pytest.mark.parametrize("dims", [[2], [10**400]])
+def test_restricted_cli_reports_failing_group_data(runner, tmp_path, dims):
+    spec_path, datum = make_trivial_spec(tmp_path)
+    doc = json.loads(spec_path.read_text())
+    doc["orbits"][1]["characters"]["dims"] = dims
+    spec_path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["restricted", str(spec_path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == f"group data FAIL: dimension_sum worst orbit: {datum.labels[1]}\n"
+
+
+def test_restricted_cli_rejects_duplicate_transversal(runner, tmp_path):
+    spec_path, _ = make_trivial_spec(tmp_path)
+    doc = json.loads(spec_path.read_text())
+    entries = doc["blocks"][0]["entries"]
+    entries.append(entries[0])
+    spec_path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["restricted", str(spec_path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: block (0, 0): transversal elements () and ()")
 
 
 def test_restricted_cli_permutation_spec(runner, tmp_path):

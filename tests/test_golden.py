@@ -22,6 +22,9 @@ GOLDEN = {
     "perm-fibonacci-5": "df59b7bbca95df986e76e6516bb470f79590b23a841b7604df8f73d85756ebda",
     "perm-fibonacci-7": "b87658609e86f7677604523d24486422eeb8b2f868f8fef68b4cd722dfd4548e",
     "perm-ising-3": "64872c42663fc94e29aa3a07eda862c9662a338e176e4bda5fb2dad25880ae05",
+    # exit 1: "plus" fails the modular relation at k = 3; pins the JSON on
+    # stdout and the "check FAIL:" summary on stderr
+    "permplus-ising-3": "527b05eee641acd944a698a8e939949d619cbb54498214ddeebc42e3345fc255",
     # commands run on an orbifold written by `perm -o`; the fusion csv holds
     # the integer table without the floating residual
     "orbcheck-ising-3": "a2226dbd2fc6a1929596e2620c798792f9bed9e31a469914d9c5202d9772ff12",
@@ -48,10 +51,10 @@ GOLDEN = {
 }
 
 
-def _invoke(args):
+def _invoke(args, exit_code=0):
     result = CliRunner().invoke(main, args)
-    assert result.exit_code == 0, result.output
-    return result.stdout_bytes
+    assert result.exit_code == exit_code, result.output
+    return result.stdout_bytes + result.stderr_bytes
 
 
 def _perm(tmp_path, name, k):
@@ -83,6 +86,9 @@ def _output(case, tmp_path):
     if kind == "perm":
         name, k = rest.split("-")
         return _perm(tmp_path, name, int(k))
+    if kind == "permplus":
+        name, k = rest.split("-")
+        return _invoke(["perm", "--convention", "plus", "--k", k, str(fixtures.path(name))], 1)
     if kind == "orbcheck":
         name, k = rest.split("-")
         return _on_orbifold(tmp_path, name, int(k), ["check"])

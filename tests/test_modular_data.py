@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import tracemalloc
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from orbmod.modular_data import (
     verlinde_fusion,
 )
 from orbmod.perm_orbifold import build_orbifold_datum
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 MINIMAL = {
     "central_charge": "8",
@@ -83,6 +87,11 @@ def test_parse_rejects_nonzero_vacuum_weight():
         json.dumps({"central_charge": "8"}),
         json.dumps(dict(MINIMAL, S=[[{"re": "one", "im": "0"}]])),
         json.dumps(dict(MINIMAL, central_charge="8/0")),
+        # a JSON bool is not a rational number
+        pytest.param(json.dumps(dict(MINIMAL, central_charge=True)), id="bool-rational"),
+        # json refuses ints of more than 4300 digits, and recursion past its limit
+        pytest.param('{"central_charge": ' + "1" * 4400 + "}", id="int-of-4400-digits"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
     ],
 )
 def test_parse_rejects_malformed_documents(text):
@@ -92,7 +101,12 @@ def test_parse_rejects_malformed_documents(text):
 
 @pytest.mark.parametrize(
     "entry",
-    [{"re": "nan", "im": "0"}, {"re": "1", "im": "-inf"}, {"re": float("inf"), "im": 0}],
+    [
+        {"re": "nan", "im": "0"},
+        {"re": "1", "im": "-inf"},
+        {"re": float("inf"), "im": 0},
+        {"re": 10**400, "im": 0},  # an int beyond the float range
+    ],
 )
 def test_parse_rejects_non_finite_entries(entry):
     with pytest.raises(InvalidDatum, match=r"non-finite complex value .* in S\[0\]\[0\]"):
@@ -267,50 +281,22 @@ def test_fusion_rejects_zero_vacuum_entry():
         verlinde_fusion(d)
 
 
-def su2(level):
-    """SU(2)_level: S_ij = sqrt(2/(l+2)) sin(pi (i+1)(j+1)/(l+2)), h_j = j(j+2)/(4(l+2))."""
-    i = np.arange(1, level + 2)
-    s = np.sqrt(2 / (level + 2)) * np.sin(np.pi * np.outer(i, i) / (level + 2))
-    modules = [ModuleInfo(f"j{j}", Fraction(j * (j + 2), 4 * (level + 2))) for j in range(level + 1)]
-    return ModularDatum(Fraction(3 * level, level + 2), modules, s)
+def load_inputs():
+    # the benchmark's generated source families, defined once in perfbench
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def u1(two_m):
-    """Pointed U(1)_{2m}: complex S with the charge conjugation a -> -a."""
-    a = np.arange(two_m)
-    s = np.exp(-2j * np.pi * np.outer(a, a) / two_m) / np.sqrt(two_m)
-    modules = [ModuleInfo(f"q{x}", Fraction(x * x, 2 * two_m)) for x in a]
-    return ModularDatum(1, modules, s)
-
-
-def deligne(d1, d2):
-    modules = [
-        ModuleInfo(f"{m1.label}*{m2.label}", m1.weight + m2.weight)
-        for m1 in d1.modules
-        for m2 in d2.modules
-    ]
-    return ModularDatum(
-        d1.central_charge + d2.central_charge, modules, np.kron(d1.s_matrix, d2.s_matrix)
-    )
-
-
-SOURCES = {
-    "su2_1": lambda: su2(1),
-    "su2_2": lambda: su2(2),
-    "su2_3": lambda: su2(3),
-    "su2_4": lambda: su2(4),
-    "su2_10": lambda: su2(10),
-    "u1_4": lambda: u1(4),
-    "u1_6": lambda: u1(6),
-    "u1_8": lambda: u1(8),
-    "su2_1*u1_4": lambda: deligne(su2(1), u1(4)),
-}
+INPUTS = load_inputs()
 
 
 @cache
 def family_datum(name, k):
-    """A generated source datum (k = 1) or its k-fold permutation orbifold."""
-    d = SOURCES[name]()
+    """A generated source datum (k = 1) or its k-fold permutation orbifold;
+    ``name`` is a source spec of ``perfbench/inputs.py`` with ``_`` for ``:``."""
+    d = INPUTS.source(name.replace("_", ":"))
     return d if k == 1 else build_orbifold_datum(d, k, "minus").datum
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from orbmod import perm_orbifold
 from orbmod.modular_data import (
     InvalidDatum,
     Phase,
@@ -193,6 +194,21 @@ def test_orbifold_s_frozen_entries_ising_k2(ising):
 def test_orbifold_s_exactly_symmetric(ising):
     s_orb = assemble_orbifold_S(ising, 2)
     assert np.array_equal(s_orb, s_orb.T)
+
+
+def test_assembly_builds_only_the_upper_twisted_blocks(fibonacci, monkeypatch):
+    # the matrix is mirrored from its upper triangle, so a (r, s) block with
+    # s < r would be computed only to be thrown away
+    calls = []
+
+    def counted(d, k, r, s):
+        calls.append((r, s))
+        return twisted_sector_block(d, k, r, s)
+
+    monkeypatch.setattr(perm_orbifold, "twisted_sector_block", counted)
+    assemble_orbifold_S(fibonacci, 5)
+    # k (k - 1) / 2 = 10 blocks, where all (k - 1)^2 = 16 would fill both triangles
+    assert calls == [(r, s) for r in range(1, 5) for s in range(r, 5)]
 
 
 def test_eigenindex_independence(ising):

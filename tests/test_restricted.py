@@ -239,7 +239,10 @@ def test_transversal_choice_independence():
 # oracle equivalence with the permutation pipeline
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name,k", [("ising", 2), ("fibonacci", 3), ("holomorphic_c8", 2)])
+@pytest.mark.parametrize(
+    "name,k",
+    [("ising", 2), ("fibonacci", 3), ("holomorphic_c8", 2), ("fibonacci", 5), ("holomorphic_c8", 5)],
+)
 def test_restricted_matches_orbifold_pipeline(name, k):
     from orbmod import fixtures
 
@@ -346,6 +349,12 @@ def test_parse_restricted_spec_round_trip(ising):
         lambda doc: doc.update(blocks=7),
         lambda doc: doc["orbits"][0]["characters"]["table"][0][0].update(re="nan"),
         lambda doc: doc["blocks"][0]["entries"][0]["value"].update(re="inf"),
+        # numbers beyond the float range (json.dumps writes 1e400 as Infinity)
+        lambda doc: doc["orbits"][0]["characters"]["table"][0][0].update(re=10**400),
+        lambda doc: doc["blocks"][0]["entries"][0]["value"].update(re=10**400),
+        lambda doc: doc["blocks"][0].update(i=1e400),
+        lambda doc: doc.update(group=[1e400]),
+        lambda doc: doc["orbits"][0]["characters"].update(dims=[1e400, 1]),
     ],
 )
 def test_parse_restricted_spec_rejects_malformed(ising, mutate):
