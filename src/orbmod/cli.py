@@ -378,7 +378,7 @@ def perm(input_path, k, output, convention, eps, eps_int):
         orb = build_orbifold_datum(
             datum, k, convention, eps=eps, eps_int=eps_int, validate_input=False
         )
-    except InvalidDatum as exc:  # e.g. two orbifold modules with one label
+    except InvalidDatum as exc:  # a ModularDatum invariant: unique labels, finite S
         _fail_input(f"{input_path}: {exc}")
     text = _dump_json(orbifold_datum_to_dict(orb))
     summary = sys.stdout if output is not None else sys.stderr

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -50,6 +51,10 @@ _VACUUM_ZERO_TOL = 1e-12
 # products S_il S_jl per matrix product of verlinde_fusion: small data run as
 # one product, and the scratch stays O(N**2) at large N
 _FUSION_BLOCK_PRODUCTS = 2**15
+# str() and json.loads refuse ints of more digits than this
+_MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**_MAX_DIGITS
+_EXPONENT = re.compile(r"[-+]?\d+(?:_\d+)*")
 
 
 class InvalidDatum(ValueError):
@@ -222,17 +227,46 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 def parse_rational(value) -> Fraction:
-    """Parse an exact rational from a string like ``"1/2"`` or ``"8"``."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+    """Parse an exact rational from a string like ``"1/2"`` or ``"8"``.
+
+    A numerator or denominator of more than ``_MAX_DIGITS`` digits, which
+    ``str`` could not print, is refused as out of range."""
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            q = _fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidDatum(f"not a rational number: {value!r}") from exc
-    raise InvalidDatum(f"not a rational number: {value!r}")
+    elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        q = Fraction(value)
+    else:
+        raise InvalidDatum(f"not a rational number: {value!r}")
+    if q is None or max(abs(q.numerator), q.denominator) >= _DIGITS_BOUND:
+        shown = value if isinstance(value, str) else type(value).__name__
+        raise InvalidDatum(
+            f"rational number out of range (more than {_MAX_DIGITS} digits): {shown!r}"
+        )
+    return q
+
+
+def _fraction(text: str) -> Fraction | None:
+    """``Fraction(text)``, or ``None`` when its exponent alone makes the
+    numerator or denominator longer than ``_MAX_DIGITS`` digits.
+    ``Fraction`` would expand that ``10**exponent`` first, which takes
+    seconds once the exponent has 8 digits."""
+    mantissa, e, exponent = text.lower().partition("e")
+    if not e:
+        return Fraction(text)
+    m = Fraction(mantissa + "e0")  # the mantissa's syntax and value
+    if not _EXPONENT.fullmatch(exponent):
+        raise ValueError(f"malformed exponent {exponent!r}")
+    x = int(exponent)
+    if not m:
+        return m
+    # m's numerator and denominator are below 10**len(mantissa), so a
+    # larger |x| leaves one of m * 10**x's with more than _MAX_DIGITS digits
+    if abs(x) > _MAX_DIGITS + len(mantissa):
+        return None
+    return m * Fraction(10) ** x
 
 
 def _parse_decimal(value, where: str) -> float:

@@ -118,29 +118,30 @@ def module_count(n_modules: int, k: int) -> int:
     return (n_modules**k - n_modules) // k + n_modules * k + n_modules * k * (k - 1)
 
 
-def _require_prime(k: int) -> None:
+def _off_diagonal_tuples(n: int, k: int) -> list[tuple[int, ...]]:
+    """Sorted canonical tuples of the off-diagonal orbits: the non-constant
+    k-tuples over ``range(n)`` that are their own :func:`canonical_rotation`.
+    Raises ``ValueError`` unless ``k`` is prime."""
     if not is_prime(k):
         raise ValueError(f"k must be prime, got {k}")
+    return [
+        t
+        for t in itertools.product(range(n), repeat=k)  # lexicographic order
+        if t == canonical_rotation(t) and len(set(t)) > 1
+    ]
 
 
 def orbifold_labels(d: ModularDatum, k: int) -> tuple[OrbifoldLabel, ...]:
     """All orbifold module labels in canonical order: diagonal by ``(i, a)``
-    (vacuum ``Diagonal(0, 0)`` first), then off-diagonal by tuple, then
-    twisted by ``(r, i, a)``."""
-    _require_prime(k)
+    (vacuum ``Diagonal(0, 0)`` first), then off-diagonal by tuple (one per
+    tuple of :func:`_off_diagonal_tuples`), then twisted by ``(r, i, a)``."""
     n = d.rank
     diag = [Diagonal(i, a) for i in range(n) for a in range(k)]
-    off = sorted(
-        {
-            canonical_rotation(t)
-            for t in itertools.product(range(n), repeat=k)
-            if len(set(t)) > 1
-        }
-    )
+    off = [OffDiagonal(t) for t in _off_diagonal_tuples(n, k)]
     twisted = [
         Twisted(r, i, a) for r in range(1, k) for i in range(n) for a in range(k)
     ]
-    labels = tuple(diag) + tuple(OffDiagonal(t) for t in off) + tuple(twisted)
+    labels = tuple(diag) + tuple(off) + tuple(twisted)
     assert len(labels) == module_count(n, k)
     return labels
 
@@ -218,17 +219,14 @@ def assemble_orbifold_S(d: ModularDatum, k: int) -> np.ndarray:
       ``B[r, s][i, j] exp(2 pi i (s a + r b) / k) / k``;
     - twisted vs off-diagonal: 0.
 
-    Only the blocks on or above the block diagonal are computed (twisted
-    sectors ``r <= s``); the upper triangle is then mirrored, so the
-    output is exactly symmetric.
+    The off-diagonal tuples ``t`` come from :func:`_off_diagonal_tuples`,
+    the producer behind the labels.  Only the blocks on or above the block
+    diagonal are computed (twisted sectors ``r <= s``); the upper triangle
+    is then mirrored, so the output is exactly symmetric.
     """
-    _require_prime(k)
     n = d.rank
     s = d.s_matrix
-    off_tuples = np.array(
-        [lab.indices for lab in orbifold_labels(d, k) if isinstance(lab, OffDiagonal)],
-        dtype=int,
-    ).reshape(-1, k)
+    off_tuples = np.array(_off_diagonal_tuples(n, k), dtype=int).reshape(-1, k)
     n_diag = n * k
     n_off = off_tuples.shape[0]
     base = n_diag + n_off
@@ -340,15 +338,12 @@ def build_orbifold_datum(
     decide how to act on a failing report (e.g. retry with the flipped
     convention).
     """
-    _require_prime(k)
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+    labelled = enumerate_orbifold_modules(d, k, convention)  # checks k, convention
     if validate_input:
         in_report = validate_modular_datum(d, eps, eps_int)
         if not in_report.ok:
             names = [c.name for c in in_report.failures()]
             raise InvalidDatum(f"input datum fails validation checks: {names}")
-    labelled = enumerate_orbifold_modules(d, k, convention)
     modules = [ModuleInfo(label_text(label, d), weight) for label, weight in labelled]
     s = assemble_orbifold_S(d, k)
     datum = ModularDatum(k * d.central_charge, tuple(modules), s)
@@ -387,8 +382,8 @@ def permutation_restriction_data(
     must match :func:`assemble_orbifold_S` entrywise.  Character rows follow
     the eigencomponent labeling ``chi_a(g) = exp(-2 pi i a g / k)``.
     """
-    _require_prime(k)
     n = d.rank
+    off = _off_diagonal_tuples(n, k)  # checks k before the group is built
     s = d.s_matrix
     group = FiniteAbelianGroup((k,))
     elems = group.elements()
@@ -402,16 +397,15 @@ def permutation_restriction_data(
     )
     trivial_table = CharacterTable(((0,),), np.array([[1.0]], dtype=complex), (1,))
 
-    off = [lab for lab in orbifold_labels(d, k) if isinstance(lab, OffDiagonal)]
     orbits: list[OrbitSpec] = []
     kinds: list[tuple] = []
     for i in range(n):
         orbits.append(OrbitSpec(f"diag({d.labels[i]})", (0,), elems, full_table))
         kinds.append(("diag", i))
-    for lab in off:
-        text = ",".join(_factor_text(d.labels[i]) for i in lab.indices)
+    for t in off:
+        text = ",".join(_factor_text(d.labels[i]) for i in t)
         orbits.append(OrbitSpec(f"off({text})", (0,), ((0,),), trivial_table))
-        kinds.append(("off", lab.indices))
+        kinds.append(("off", t))
     for r in range(1, k):
         for i in range(n):
             orbits.append(OrbitSpec(f"tw{r}({d.labels[i]})", (r,), elems, full_table))

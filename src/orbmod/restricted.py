@@ -235,22 +235,23 @@ def _check_block(
     group: FiniteAbelianGroup,
     eps: float,
 ) -> None:
-    """Reject transversals that double-count a module or contradict
-    conjugation invariance of the supplied S-entries."""
+    """Reject transversals with an element outside the group, or that
+    double-count a module or contradict conjugation invariance of the
+    supplied S-entries."""
     stab_i = set(orbits[i].stabilizer)
     stab_j = set(orbits[j].stabilizer)
-    seen = list(entries)
-    for (k1, v1), (k2, v2) in itertools.combinations(seen, 2):
-        diff = group.sub(tuple(k1), tuple(k2))
+    checked = [(group._check(kappa), v) for kappa, v in entries]
+    for (k1, v1), (k2, v2) in itertools.combinations(checked, 2):
+        diff = group.sub(k1, k2)
         if diff in stab_j:
             raise ValueError(
-                f"block ({i}, {j}): transversal elements {tuple(k1)} and {tuple(k2)} "
+                f"block ({i}, {j}): transversal elements {k1} and {k2} "
                 "select the same module (their difference stabilizes orbit "
                 f"{orbits[j].label!r})"
             )
         if diff in stab_i and abs(v1 - v2) > eps:
             raise ValueError(
-                f"block ({i}, {j}): entries at {tuple(k1)} and {tuple(k2)} must agree "
+                f"block ({i}, {j}): entries at {k1} and {k2} must agree "
                 f"by conjugation invariance but differ by {abs(v1 - v2):.3g}"
             )
 
@@ -307,10 +308,17 @@ def assemble_restricted_S(
 # JSON interface
 # ---------------------------------------------------------------------------
 
+def _parse_int(value, what: str) -> int:
+    """A JSON integer: no float, string or bool is read as one."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidDatum(f"{what} must be an integer, got {value!r}")
+
+
 def _parse_element(value, where: str) -> GroupElement:
-    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+    if not isinstance(value, list):
         raise InvalidDatum(f"group element in {where} must be a list of integers")
-    return tuple(value)
+    return tuple(_parse_int(v, "group element component") for v in value)
 
 
 def parse_restricted_spec(
@@ -332,7 +340,9 @@ def parse_restricted_spec(
         if not isinstance(document[key], list):
             raise InvalidDatum(f'"{key}" must be a list')
     try:
-        group = FiniteAbelianGroup(tuple(document["group"]))
+        group = FiniteAbelianGroup(
+            tuple(_parse_int(n, "invariant factor") for n in document["group"])
+        )
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidDatum(f'bad "group" entry: {exc}') from exc
 
@@ -350,7 +360,7 @@ def parse_restricted_spec(
                     ],
                     dtype=complex,
                 ),
-                tuple(chars["dims"]),
+                tuple(_parse_int(v, "dimension") for v in chars["dims"]),
             )
             orbits.append(
                 OrbitSpec(
@@ -367,7 +377,7 @@ def parse_restricted_spec(
     for pos, entry in enumerate(document["blocks"]):
         where = f"blocks[{pos}]"
         try:
-            key = (int(entry["i"]), int(entry["j"]))
+            key = (_parse_int(entry["i"], "i"), _parse_int(entry["j"], "j"))
             blocks[key] = [
                 (_parse_element(e["kappa"], where), _parse_complex(e["value"], where))
                 for e in entry["entries"]

@@ -3,6 +3,7 @@ import os
 import stat
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -139,6 +140,34 @@ def test_unreadable_input_is_input_error(runner, tmp_path, command, content):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith(f"error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize(
+    "command,name,mutate,text",
+    [
+        # str() of the orbifold's central charge failed while writing it
+        (["perm", "--k", "2"], "holomorphic_c8", lambda doc: doc.update(central_charge="8e5000"), "8e5000"),
+        # str() of the T angle failed
+        (["tmatrix"], "ising", lambda doc: doc["modules"][1].update(h="1e-5000"), "1e-5000"),
+        # Fraction expanded 10**10000000 for seconds
+        (["check"], "ising", lambda doc: doc["modules"][1].update(h="1e10000000"), "1e10000000"),
+    ],
+    ids=["perm-c", "tmatrix-h", "check-h"],
+)
+def test_rational_out_of_range_is_input_error(runner, tmp_path, command, name, mutate, text):
+    doc = json.loads(fixtures.path(name).read_text())
+    mutate(doc)
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    result = runner.invoke(main, [*command, str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: {path}: rational number out of range (more than 4300 digits): {text!r}\n"
+    )
 
 
 def test_validate_deterministic(runner):
@@ -544,6 +573,54 @@ def test_restricted_cli_reports_failing_group_data(runner, tmp_path, dims):
     assert isinstance(result.exception, SystemExit)
     assert result.stdout == ""
     assert result.stderr == f"group data FAIL: dimension_sum worst orbit: {datum.labels[1]}\n"
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (lambda doc: doc.update(group=[2.7]), 'bad "group" entry: invariant factor must be an integer, got 2.7'),
+        (lambda doc: doc.update(group=["2"]), "bad \"group\" entry: invariant factor must be an integer, got '2'"),
+        (lambda doc: doc.update(group=[True]), 'bad "group" entry: invariant factor must be an integer, got True'),
+        (lambda doc: doc["blocks"][0].update(i=1.9), "bad block entry blocks[0]: i must be an integer, got 1.9"),
+        (lambda doc: doc["blocks"][0].update(j="0"), "bad block entry blocks[0]: j must be an integer, got '0'"),
+        (
+            lambda doc: doc["orbits"][1]["characters"].update(dims=[1.5]),
+            "bad orbit entry orbits[1]: dimension must be an integer, got 1.5",
+        ),
+        (
+            lambda doc: doc["blocks"][2]["entries"][0].update(kappa=[True]),
+            "bad block entry blocks[2]: group element component must be an integer, got True",
+        ),
+        # the desk-mix message for a zero invariant factor stays as it was
+        (lambda doc: doc.update(group=[0]), 'bad "group" entry: invariant factors must be positive, got (0,)'),
+    ],
+    ids=["group-float", "group-string", "group-bool", "i-float", "j-string", "dims-float",
+         "kappa-bool", "group-zero"],
+)
+def test_restricted_cli_rejects_non_integer_numbers(runner, tmp_path, mutate, message):
+    spec_path, _ = make_trivial_spec(tmp_path)
+    doc = json.loads(spec_path.read_text())
+    mutate(doc)
+    spec_path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["restricted", str(spec_path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == f"error: {spec_path}: {message}\n"
+
+
+@pytest.mark.parametrize("n_entries", [1, 2])
+def test_restricted_cli_rejects_kappa_outside_group(runner, tmp_path, n_entries):
+    spec = restricted_spec_to_dict(*permutation_restriction_data(fixtures.load("ising"), 2))
+    block = next(b for b in spec["blocks"] if len(b["entries"]) == n_entries)
+    block["entries"][0]["kappa"] = [5]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    result = runner.invoke(main, ["restricted", str(spec_path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == "error: (5,) is not an element of Z_2\n"
 
 
 def test_restricted_cli_rejects_duplicate_transversal(runner, tmp_path):

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import cache
@@ -19,6 +20,7 @@ from orbmod.modular_data import (
     Phase,
     modular_datum_to_dict,
     parse_modular_datum,
+    parse_rational,
     quantum_dimensions,
     t_matrix,
     validate_modular_datum,
@@ -92,11 +94,78 @@ def test_parse_rejects_nonzero_vacuum_weight():
         # json refuses ints of more than 4300 digits, and recursion past its limit
         pytest.param('{"central_charge": ' + "1" * 4400 + "}", id="int-of-4400-digits"),
         pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
+        # rationals whose numerator or denominator str() could not print
+        pytest.param(json.dumps(dict(MINIMAL, central_charge="8e5000")), id="c-8e5000"),
+        pytest.param(json.dumps(dict(MINIMAL, central_charge="1e10000000")), id="c-1e10000000"),
+        pytest.param(json.dumps(dict(MINIMAL, central_charge="-3e-10000000")), id="c-3e-10000000"),
+        pytest.param(json.dumps(dict(MINIMAL, central_charge="1" + "0" * 4300)), id="c-4301-digits"),
+        pytest.param(
+            json.dumps(dict(MINIMAL, central_charge="0." + "0" * 4299 + "1")),
+            id="c-denominator-4301-digits",
+        ),
+        pytest.param(
+            json.dumps(dict(MINIMAL, modules=[{"label": "1", "h": "1e-5000"}])), id="h-1e-5000"
+        ),
+        pytest.param(json.dumps(dict(MINIMAL, central_charge="1e 5")), id="c-spaced-exponent"),
+        pytest.param(json.dumps(dict(MINIMAL, central_charge="1/2e3")), id="c-fraction-exponent"),
+        # entries that are no decimal, S entries that are no {"re", "im"} object
+        pytest.param(json.dumps(dict(MINIMAL, S=[[{"re": None, "im": "0"}]])), id="re-null"),
+        pytest.param(json.dumps(dict(MINIMAL, S=[[{"re": [1], "im": "0"}]])), id="re-list"),
+        pytest.param(json.dumps(dict(MINIMAL, S=[["1"]])), id="entry-string"),
+        pytest.param(json.dumps(dict(MINIMAL, S=[[{"re": "1"}]])), id="entry-without-im"),
+        pytest.param(json.dumps(dict(MINIMAL, modules=[{"label": "1"}])), id="module-without-h"),
+        pytest.param(json.dumps(dict(MINIMAL, modules=["1"])), id="module-string"),
+        pytest.param(json.dumps(dict(MINIMAL, S="1")), id="S-string"),
+        pytest.param(json.dumps(dict(MINIMAL, S=[{"re": "1", "im": "0"}])), id="S-row-object"),
     ],
 )
 def test_parse_rejects_malformed_documents(text):
     with pytest.raises(InvalidDatum):
         parse_modular_datum(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["8e5000", "1e-5000", "1e10000000", "-1e-99999999999", "1e4300", "1e-4300"]
+)
+def test_parse_rational_refuses_out_of_range_before_expanding(text):
+    # Fraction("1e10000000") alone takes seconds
+    start = time.perf_counter()
+    with pytest.raises(InvalidDatum, match=r"^rational number out of range \(more than 4300 digits\): "):
+        parse_rational(text)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e4299", "1e-4299", "-2.5E+2", "1_0e1_0", ".5e1", "1.e2", "0e99999999", "-0.0e-99999999"],
+)
+def test_parse_rational_reads_exponents_as_fraction_does(text):
+    expected = Fraction(0) if text.endswith("99999999") else Fraction(text)
+    assert parse_rational(text) == expected
+
+
+def test_parse_rational_messages():
+    with pytest.raises(InvalidDatum, match=r"^not a rational number: '1/0'$"):
+        parse_rational("1/0")
+    with pytest.raises(InvalidDatum, match=r"^rational number out of range .*: 'int'$"):
+        parse_rational(10**4300)
+    assert parse_rational(10**4300 - 1) == 10**4300 - 1
+
+
+@pytest.mark.parametrize(
+    "modules,s,message",
+    [
+        ((), np.zeros((0, 0)), "at least one module"),
+        ((ModuleInfo("1", 0),), np.ones(1), "must be square"),
+        ((ModuleInfo("1", 0),), np.ones((1, 2)), "must be square"),
+        ((ModuleInfo("1", 0), ModuleInfo("x", 1)), np.ones((1, 1)), "dimension mismatch"),
+        ((ModuleInfo("1", 0),), np.array([[np.nan]]), "must be finite"),
+        ((ModuleInfo("1", 0),), np.array([[1j * np.inf]]), "must be finite"),
+    ],
+)
+def test_modular_datum_rejects_broken_shapes(modules, s, message):
+    with pytest.raises(InvalidDatum, match=message):
+        ModularDatum(0, modules, s)
 
 
 @pytest.mark.parametrize(
@@ -348,6 +417,12 @@ def test_fusion_scratch_is_small_beside_the_table():
     finally:
         tracemalloc.stop()
     assert peak < tensor.table.nbytes + 4 * 2**20
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3), (1, 2, 2), (2, 2, 2, 2)])
+def test_fusion_tensor_must_be_cubic(shape):
+    with pytest.raises(ValueError, match="fusion tensor must be cubic"):
+        FusionTensor(np.zeros(shape, dtype=int), 0.0)
 
 
 def test_fusion_tensor_keeps_an_int_table_without_copying():

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from orbmod.perm_orbifold import (
     orbifold_datum_to_dict,
     orbifold_labels,
     orbifold_t_phases,
+    permutation_restriction_data,
     twisted_sector_block,
 )
 
@@ -102,6 +104,34 @@ def test_nonprime_k_rejected(ising):
         build_orbifold_datum(ising, 6)
 
 
+@pytest.mark.parametrize("n,k", [(1, 2), (2, 2), (3, 2), (2, 3), (4, 3), (3, 5), (2, 7)])
+def test_off_diagonal_tuples_are_the_sorted_rotation_orbits(n, k):
+    orbits = {
+        canonical_rotation(t)
+        for t in itertools.product(range(n), repeat=k)
+        if len(set(t)) > 1
+    }
+    assert perm_orbifold._off_diagonal_tuples(n, k) == sorted(orbits)
+    assert len(orbits) == (n**k - n) // k
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d, k: orbifold_labels(d, k),
+        lambda d, k: enumerate_orbifold_modules(d, k),
+        lambda d, k: assemble_orbifold_S(d, k),
+        lambda d, k: build_orbifold_datum(d, k),
+        lambda d, k: permutation_restriction_data(d, k),
+    ],
+    ids=["labels", "enumerate", "assemble", "build", "restriction_data"],
+)
+@pytest.mark.parametrize("k", [-3, 0, 1, 4, 9])
+def test_every_entry_point_rejects_nonprime_k(ising, call, k):
+    with pytest.raises(ValueError, match=rf"^k must be prime, got {k}$"):
+        call(ising, k)
+
+
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
@@ -138,6 +168,8 @@ def test_weight_convention_flip_only_moves_twisted(fibonacci):
 def test_bad_convention_rejected(ising):
     with pytest.raises(ValueError, match="convention"):
         enumerate_orbifold_modules(ising, 2, "signed")
+    with pytest.raises(ValueError, match="convention"):
+        build_orbifold_datum(ising, 2, "signed")
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +310,21 @@ def test_build_orbifold_datum_structure(ising):
     assert orb.datum.central_charge == Fraction(1)
     assert orb.datum.modules[0].label == "diag(1;0)"
     assert len(set(orb.datum.labels)) == orb.datum.rank
+
+
+def test_build_enumerates_the_labels_once(fibonacci, monkeypatch):
+    # the S assembly reads the off-diagonal tuples from their producer and
+    # does not build a second label list of its own
+    calls = []
+
+    def counted(d, k):
+        calls.append(k)
+        return orbifold_labels(d, k)
+
+    monkeypatch.setattr(perm_orbifold, "orbifold_labels", counted)
+    orb = build_orbifold_datum(fibonacci, 3)
+    assert calls == [3]
+    assert orb.labels == orbifold_labels(fibonacci, 3)
 
 
 def test_build_rejects_invalid_input(ising):

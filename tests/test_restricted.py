@@ -171,6 +171,43 @@ def test_empty_blocks_give_zero(ising):
     assert np.array_equal(out, np.zeros((3, 3)))
 
 
+def test_empty_entry_list_gives_zero_block(ising):
+    orbits = trivial_orbits_for(ising)
+    blocks = {(0, 0): [], (1, 2): [((), 0.5)]}
+    pairs, out = assemble_restricted_S(orbits, blocks, TRIVIAL)
+    expected = np.zeros((3, 3))
+    expected[1, 2] = 0.5
+    assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("key", [(3, 0), (0, 3), (-1, 0), (0, -1)])
+def test_block_key_out_of_range_rejected(ising, key):
+    with pytest.raises(ValueError, match=rf"^block key \({key[0]}, {key[1]}\) out of range$"):
+        assemble_restricted_S(trivial_orbits_for(ising), {key: [((), 1.0)]}, TRIVIAL)
+
+
+@pytest.mark.parametrize(
+    "group,kappa,others,message",
+    [
+        # one entry: no pair to compare, yet the kappa must lie in the group
+        (Z2, (5,), [], "(5,) is not an element of Z_2"),
+        (Z2, (5,), [(0,)], "(5,) is not an element of Z_2"),
+        (Z2, (1,), [(-1,)], "(-1,) is not an element of Z_2"),
+        (TRIVIAL, (5,), [], "(5,) is not an element of Z_1"),
+        (TRIVIAL, (), [(0,)], "(0,) is not an element of Z_1"),
+        (FiniteAbelianGroup((2, 4)), (0, 4), [], "(0, 4) is not an element of Z_2 x Z_4"),
+        (FiniteAbelianGroup((2, 4)), (1,), [(0, 0)], "(1,) is not an element of Z_2 x Z_4"),
+    ],
+)
+def test_every_kappa_must_lie_in_the_group(group, kappa, others, message):
+    elems = group.elements()
+    orbits = [OrbitSpec("full", elems[0], elems, dual_table(group))] * 2
+    blocks = {(0, 1): [(kappa, 1.0)] + [(k, 1.0) for k in others]}
+    with pytest.raises(ValueError) as info:
+        assemble_restricted_S(orbits, blocks, group)
+    assert str(info.value) == message
+
+
 def test_duplicate_transversal_coset_rejected():
     orbits = [OrbitSpec("a", (0,), ((0,), (1,)), z2_table())] * 2
     blocks = {(0, 1): [((0,), 1.0), ((1,), 1.0)]}
@@ -355,6 +392,30 @@ def test_parse_restricted_spec_round_trip(ising):
         lambda doc: doc["blocks"][0].update(i=1e400),
         lambda doc: doc.update(group=[1e400]),
         lambda doc: doc["orbits"][0]["characters"].update(dims=[1e400, 1]),
+        # integers must be JSON integers: no float, string or bool is coerced
+        lambda doc: doc.update(group=[2.7]),
+        lambda doc: doc.update(group=["2"]),
+        lambda doc: doc.update(group=[True]),
+        lambda doc: doc.update(group="23"),
+        lambda doc: doc["blocks"][0].update(i=1.9),
+        lambda doc: doc["blocks"][0].update(i="0"),
+        lambda doc: doc["blocks"][0].update(j=False),
+        lambda doc: doc["orbits"][0]["characters"].update(dims=[1.5]),
+        lambda doc: doc["orbits"][0]["characters"].update(dims=["1"]),
+        lambda doc: doc["orbits"][0]["characters"].update(dims=[True]),
+        lambda doc: doc["blocks"][0]["entries"][0].update(kappa=[True]),
+        lambda doc: doc["blocks"][0]["entries"][0].update(kappa=[False]),
+        lambda doc: doc["orbits"][0].update(twist=[True]),
+        lambda doc: doc["orbits"][0].update(twist=[1.5]),
+        lambda doc: doc["orbits"][0].update(stabilizer=[[False]]),
+        # an element that is no list
+        lambda doc: doc["orbits"][0].update(twist="0"),
+        lambda doc: doc["blocks"][0]["entries"][0].update(kappa=0),
+        # one dimension per character row, and no element twice in the domain
+        lambda doc: doc["orbits"][0]["characters"].update(dims=[1, 1]),
+        lambda doc: doc["orbits"][0]["characters"].update(
+            elements=[[], []], table=[[{"re": "1", "im": "0"}] * 2]
+        ),
     ],
 )
 def test_parse_restricted_spec_rejects_malformed(ising, mutate):
