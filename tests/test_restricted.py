@@ -174,7 +174,7 @@ def test_empty_blocks_give_zero(ising):
 def test_empty_entry_list_gives_zero_block(ising):
     orbits = trivial_orbits_for(ising)
     blocks = {(0, 0): [], (1, 2): [((), 0.5)]}
-    pairs, out = assemble_restricted_S(orbits, blocks, TRIVIAL)
+    _, out = assemble_restricted_S(orbits, blocks, TRIVIAL)
     expected = np.zeros((3, 3))
     expected[1, 2] = 0.5
     assert np.array_equal(out, expected)
