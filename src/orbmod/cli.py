@@ -28,17 +28,18 @@ from .modular_data import (
     InvalidDatum,
     ModularDatum,
     ValidationReport,
+    _rational_text,
     format_complex,
     parse_modular_datum,
     t_matrix,
     validate_modular_datum,
     validation_bytes,
 )
-from .perm_orbifold import build_orbifold_datum, module_count, orbifold_datum_to_dict
+from .perm_orbifold import _orbifold_document, build_orbifold_datum, module_count
 from .restricted import (
+    _result_document,
     assemble_restricted_S,
     parse_restricted_spec,
-    restricted_result_to_dict,
     validate_group_data,
 )
 from .sl2z import SL2Matrix, decompose_to_generators, evaluate_word, is_prime
@@ -92,8 +93,24 @@ def _load_datum(path: str) -> ModularDatum:
         _fail_input(f"{path}: {exc}")
 
 
+def _require_memory(rank: int, subject: str) -> None:
+    """Refuse, before anything is allocated, to validate a datum of this
+    rank when :func:`validation_bytes` exceeds physical memory."""
+    need = validation_bytes(rank)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        # str() refuses ints of more than 4300 digits, which k ~ 10**4 reaches
+        count = rank if rank < 10**15 else f"about 10^{math.log10(rank):.0f}"
+        _fail_input(
+            f"{subject} has {count} modules; validating it needs more than "
+            f"the {have / 2**30:.3g} GiB of physical memory"
+        )
+
+
 # fusion tables hold small ints, and a lookup here is cheaper than int.__repr__
 _INT_TEXT = {i: str(i) for i in range(1024)}
+# the same strings, for a lookup by an int array
+_INT_TEXT_ARRAY = np.array(list(_INT_TEXT.values()), dtype=object)
 
 
 def _dump_json(doc: dict) -> str:
@@ -103,7 +120,12 @@ def _dump_json(doc: dict) -> str:
     With ``indent`` set, CPython's ``json`` leaves its C encoder for a
     pure-Python one that yields one chunk per token (over a million for a
     6.9 MB fusion table).  This encoder instead joins each all-int list
-    in a single ``str.join`` over precomputed strings of small ints."""
+    in a single ``str.join`` over precomputed strings of small ints.
+
+    An ``np.ndarray`` of int or complex dtype may stand anywhere in
+    ``doc``.  It is written as its ``.tolist()`` would be, except that each
+    complex entry ``z`` is written as its ``format_complex(z)`` dict, so
+    S-matrices and fusion tables need no per-entry Python objects."""
     return _encode(doc, "\n") + "\n"
 
 
@@ -121,6 +143,8 @@ def _encode(o, newline: str) -> str:
             for k, v in sorted(o.items())
         ])
         return "{" + inner + body + newline + "}"
+    if isinstance(o, np.ndarray):
+        return _encode_array(o, newline)
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
@@ -133,6 +157,45 @@ def _encode(o, newline: str) -> str:
             body = sep.join([_encode(v, inner) for v in o])
         return "[" + inner + body + newline + "]"
     return json.dumps(o)  # float, bool, None and lone ints, spelled as json does
+
+
+def _encode_array(a: np.ndarray, newline: str) -> str:
+    """Text of an int or complex array: the leaf strings of each matrix are
+    made in one flat pass, then each axis from the innermost out joins runs
+    of them."""
+    if a.size == 0 or a.dtype.kind not in "iuc":
+        return _encode(a.tolist(), newline)
+    if a.ndim > 2:
+        # one matrix at a time, so the row strings of only one are alive
+        inner = newline + "  "
+        body = ("," + inner).join([_encode_array(m, inner) for m in a])
+        return "[" + inner + body + newline + "]"
+    flat = a.ravel()
+    if a.dtype.kind == "c":
+        # format_complex(z) as a dict on its own line: keys "im", "re"
+        line = newline + "  " * a.ndim
+        head = "{" + line + '  "im": "'
+        middle = '",' + line + '  "re": "'
+        tail = '"' + line + "}"
+        leaves = [
+            head + im + middle + re + tail
+            for im, re in zip(
+                map(float.__repr__, flat.imag.tolist()),
+                map(float.__repr__, flat.real.tolist()),
+            )
+        ]
+    elif 0 <= flat.min() and flat.max() < len(_INT_TEXT_ARRAY):
+        leaves = _INT_TEXT_ARRAY[flat].tolist()
+    else:
+        leaves = list(map(int.__repr__, flat.tolist()))
+    for axis in reversed(range(a.ndim)):
+        line = newline + "  " * axis  # the line each list of this axis opens on
+        open_, sep, close = "[" + line + "  ", "," + line + "  ", line + "]"
+        m = a.shape[axis]
+        leaves = [
+            open_ + sep.join(leaves[i:i + m]) + close for i in range(0, len(leaves), m)
+        ]
+    return leaves[0]
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -256,6 +319,7 @@ def main():
 def validate(input_path, eps, eps_int, fmt):
     """Run the full validation suite on a modular-datum JSON file."""
     datum = _load_datum(input_path)
+    _require_memory(datum.rank, input_path)
     report = validate_modular_datum(datum, eps, eps_int)
     click.echo(_render_report(report, fmt), nl=False)
     sys.exit(0 if report.ok else 1)
@@ -268,6 +332,7 @@ def validate(input_path, eps, eps_int, fmt):
 def check(input_path, eps, eps_int):
     """Terse validation: verdict plus any failing checks."""
     datum = _load_datum(input_path)
+    _require_memory(datum.rank, input_path)
     report = validate_modular_datum(datum, eps, eps_int)
     for c in report.failures():
         click.echo(f"FAIL {c.name} residual={c.residual:.6e} {c.detail}".rstrip())
@@ -285,6 +350,7 @@ def check(input_path, eps, eps_int):
 def fusion(input_path, eps, eps_int, fmt):
     """Verlinde fusion rules of a validated datum."""
     datum = _load_datum(input_path)
+    _require_memory(datum.rank, input_path)
     report = validate_modular_datum(datum, eps, eps_int)
     gate = [report["unitary"], report["vacuum_row_positive"]]
     if not all(c.passed for c in gate):
@@ -298,7 +364,7 @@ def fusion(input_path, eps, eps_int, fmt):
     if fmt == "json":
         doc = {
             "labels": list(labels),
-            "fusion": tensor.table.tolist(),
+            "fusion": tensor.table,
             "residual": tensor.residual,
         }
         click.echo(_dump_json(doc), nl=False)
@@ -320,22 +386,30 @@ def tmatrix(input_path, fmt):
     """Diagonal T-matrix phases of a datum."""
     datum = _load_datum(input_path)
     phases = t_matrix(datum)
+    try:
+        angles = [
+            _rational_text(p.angle, f"T angle of module {m.label!r}")
+            for m, p in zip(datum.modules, phases)
+        ]
+    except InvalidDatum as exc:
+        _fail_input(f"{input_path}: {exc}")
+    rows = list(zip(datum.modules, angles, phases))
     if fmt == "json":
         doc = [
-            {"label": m.label, "angle": str(p.angle), **format_complex(p.value)}
-            for m, p in zip(datum.modules, phases)
+            {"label": m.label, "angle": angle, **format_complex(p.value)}
+            for m, angle, p in rows
         ]
         click.echo(_dump_json({"t_phases": doc}), nl=False)
     elif fmt == "csv":
         lines = ["label,angle,value"]
-        for m, p in zip(datum.modules, phases):
-            lines.append(f'{m.label},{p.angle},"{format_complex_csv(p.value)}"')
+        for m, angle, p in rows:
+            lines.append(f'{m.label},{angle},"{format_complex_csv(p.value)}"')
         click.echo("\n".join(lines))
     else:
         width = max(len(m.label) for m in datum.modules)
-        for m, p in zip(datum.modules, phases):
+        for m, angle, p in rows:
             click.echo(
-                f"{m.label:<{width}}  angle={str(p.angle):<8}  "
+                f"{m.label:<{width}}  angle={angle:<8}  "
                 f"value={format_complex_csv(p.value)}"
             )
     sys.exit(0)
@@ -359,16 +433,7 @@ def perm(input_path, k, output, convention, eps, eps_int):
     if not is_prime(k):
         _fail_input(f"k must be prime, got {k}")
     datum = _load_datum(input_path)
-    n_out = module_count(datum.rank, k)
-    need = validation_bytes(n_out)
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        # str() refuses ints of more than 4300 digits, which k ~ 10**4 reaches
-        count = n_out if n_out < 10**15 else f"about 10^{math.log10(n_out):.0f}"
-        _fail_input(
-            f"the k={k} orbifold of {input_path} has {count} modules; validating "
-            f"it needs more than the {have / 2**30:.3g} GiB of physical memory"
-        )
+    _require_memory(module_count(datum.rank, k), f"the k={k} orbifold of {input_path}")
     in_report = validate_modular_datum(datum, eps, eps_int)
     if not in_report.ok:
         for c in in_report.failures():
@@ -378,9 +443,12 @@ def perm(input_path, k, output, convention, eps, eps_int):
         orb = build_orbifold_datum(
             datum, k, convention, eps=eps, eps_int=eps_int, validate_input=False
         )
-    except InvalidDatum as exc:  # a ModularDatum invariant: unique labels, finite S
+        doc = _orbifold_document(orb)
+    except InvalidDatum as exc:
+        # a ModularDatum invariant (unique labels, finite S), or a rational
+        # too long to write
         _fail_input(f"{input_path}: {exc}")
-    text = _dump_json(orbifold_datum_to_dict(orb))
+    text = _dump_json(doc)
     summary = sys.stdout if output is not None else sys.stderr
     _write_output(text, output)
     click.echo(f"modules: {orb.datum.rank}", file=summary)
@@ -417,7 +485,7 @@ def restricted(input_path, output, eps):
         pairs, matrix = assemble_restricted_S(orbits, blocks, group, eps=eps)
     except ValueError as exc:
         _fail_input(str(exc))
-    _write_output(_dump_json(restricted_result_to_dict(pairs, matrix, orbits)), output)
+    _write_output(_dump_json(_result_document(pairs, matrix, orbits)), output)
     if output is not None:
         click.echo(f"pairs: {len(pairs)}")
     sys.exit(0)

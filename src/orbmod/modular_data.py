@@ -21,6 +21,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -240,12 +242,28 @@ def parse_rational(value) -> Fraction:
         q = Fraction(value)
     else:
         raise InvalidDatum(f"not a rational number: {value!r}")
-    if q is None or max(abs(q.numerator), q.denominator) >= _DIGITS_BOUND:
+    if q is None or _out_of_range(q):
         shown = value if isinstance(value, str) else type(value).__name__
         raise InvalidDatum(
             f"rational number out of range (more than {_MAX_DIGITS} digits): {shown!r}"
         )
     return q
+
+
+def _out_of_range(q: Fraction) -> bool:
+    return max(abs(q.numerator), q.denominator) >= _DIGITS_BOUND
+
+
+def _rational_text(q: Fraction, where: str) -> str:
+    """``str(q)`` for a writer.  A rational computed from accepted inputs
+    (a product, sum or lcm of them) can outgrow the ``_MAX_DIGITS`` digits
+    that ``str`` prints; it is refused as :class:`InvalidDatum` naming
+    ``where``, before any text is written."""
+    if _out_of_range(q):
+        raise InvalidDatum(
+            f"rational number out of range (more than {_MAX_DIGITS} digits) in {where}"
+        )
+    return str(q)
 
 
 def _fraction(text: str) -> Fraction | None:
@@ -325,6 +343,11 @@ def parse_modular_datum(document: str | dict) -> ModularDatum:
 
     Unknown keys are ignored, so extended documents (e.g. orbifold output
     with per-module ``label_kind`` fields) parse as plain data.
+
+    S is read in one flat pass when every entry is a dict whose ``re`` and
+    ``im`` are strings or numbers (no booleans) that convert to finite
+    floats.  Otherwise it is read again entry by entry, which raises the
+    error for the first bad entry in row-major order.
     """
     document = _json_object(document, {"central_charge", "modules", "S"})
     c = parse_rational(document["central_charge"])
@@ -335,7 +358,12 @@ def parse_modular_datum(document: str | dict) -> ModularDatum:
     for pos, entry in enumerate(raw_modules):
         if not isinstance(entry, dict) or "label" not in entry or "h" not in entry:
             raise InvalidDatum(f"module #{pos} must have 'label' and 'h'")
-        modules.append(ModuleInfo(str(entry["label"]), parse_rational(entry["h"])))
+        label = entry["label"]
+        if not isinstance(label, str):
+            raise InvalidDatum(
+                f"module #{pos} label must be a string, not {type(label).__name__}"
+            )
+        modules.append(ModuleInfo(label, parse_rational(entry["h"])))
 
     raw_s = document["S"]
     if not isinstance(raw_s, list) or any(not isinstance(row, list) for row in raw_s):
@@ -346,23 +374,60 @@ def parse_modular_datum(document: str | dict) -> ModularDatum:
             f"dimension mismatch: {len(modules)} modules but S has "
             f"{len(raw_s)} rows of lengths {sorted(n_cols)}"
         )
-    s = np.array(
-        [
-            [_parse_complex(raw_s[i][j], f"S[{i}][{j}]") for j in range(len(modules))]
-            for i in range(len(raw_s))
-        ],
-        dtype=complex,
-    )
+    s = _flat_s(raw_s)
+    if s is None:
+        s = np.array(
+            [
+                [_parse_complex(raw_s[i][j], f"S[{i}][{j}]") for j in range(len(modules))]
+                for i in range(len(raw_s))
+            ],
+            dtype=complex,
+        )
     return ModularDatum(c, tuple(modules), s)
+
+
+def _flat_s(raw_s: list) -> np.ndarray | None:
+    """The square complex matrix of the ``{"re", "im"}`` rows ``raw_s``,
+    or ``None`` when some entry is not one that :func:`_parse_complex`
+    reads as a finite value."""
+    entries = list(chain.from_iterable(raw_s))
+    if set(map(type, entries)) != {dict}:
+        return None
+    try:
+        parts = list(chain.from_iterable(map(itemgetter("re", "im"), entries)))
+        if not set(map(type, parts)) <= {str, int, float}:
+            return None
+        values = np.fromiter(map(float, parts), float, len(parts))
+    except (KeyError, ValueError, OverflowError):
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.view(complex).reshape(len(raw_s), len(raw_s))
 
 
 def modular_datum_to_dict(d: ModularDatum) -> dict:
     """Serialize a datum back to the documented JSON structure."""
+    return _with_s_entries(_datum_document(d))
+
+
+def _datum_document(d: ModularDatum) -> dict:
+    """:func:`modular_datum_to_dict` with ``"S"`` still the complex array,
+    which the CLI's JSON encoder writes as the same text."""
     return {
-        "central_charge": str(d.central_charge),
-        "modules": [{"label": m.label, "h": str(m.weight)} for m in d.modules],
-        "S": [[format_complex(z) for z in row] for row in d.s_matrix],
+        "central_charge": _rational_text(d.central_charge, "central_charge"),
+        "modules": [
+            {"label": m.label, "h": _rational_text(m.weight, f"h of module {m.label!r}")}
+            for m in d.modules
+        ],
+        "S": d.s_matrix,
     }
+
+
+def _with_s_entries(doc: dict) -> dict:
+    """``doc`` with its complex array ``"S"`` replaced by the rows of
+    :func:`format_complex` entries."""
+    doc["S"] = [[format_complex(z) for z in row] for row in doc["S"].tolist()]
+    return doc
 
 
 # ---------------------------------------------------------------------------

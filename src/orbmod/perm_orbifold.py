@@ -47,7 +47,8 @@ from .modular_data import (
     ModuleInfo,
     Phase,
     ValidationReport,
-    modular_datum_to_dict,
+    _datum_document,
+    _with_s_entries,
     validate_modular_datum,
 )
 from .restricted import CharacterTable, FiniteAbelianGroup, OrbitSpec
@@ -363,7 +364,13 @@ def _label_fields(label: OrbifoldLabel) -> dict:
 def orbifold_datum_to_dict(od: OrbifoldDatum) -> dict:
     """JSON structure: the plain datum schema extended with ``k``,
     ``convention`` and per-module label-kind fields."""
-    doc = modular_datum_to_dict(od.datum)
+    return _with_s_entries(_orbifold_document(od))
+
+
+def _orbifold_document(od: OrbifoldDatum) -> dict:
+    """:func:`orbifold_datum_to_dict` with ``"S"`` still the complex array,
+    which the CLI's JSON encoder writes as the same text."""
+    doc = _datum_document(od.datum)
     for entry, label in zip(doc["modules"], od.labels):
         entry.update(_label_fields(label))
     doc["k"] = od.k

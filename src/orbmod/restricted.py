@@ -38,6 +38,7 @@ from .modular_data import (
     ValidationReport,
     _json_object,
     _parse_complex,
+    _with_s_entries,
     format_complex,
 )
 
@@ -362,9 +363,12 @@ def parse_restricted_spec(
                 ),
                 tuple(_parse_int(v, "dimension") for v in chars["dims"]),
             )
+            label = entry["label"]
+            if not isinstance(label, str):
+                raise TypeError(f"label must be a string, not {type(label).__name__}")
             orbits.append(
                 OrbitSpec(
-                    str(entry["label"]),
+                    label,
                     _parse_element(entry["twist"], where),
                     tuple(_parse_element(e, where) for e in entry["stabilizer"]),
                     table,
@@ -433,9 +437,19 @@ def restricted_result_to_dict(
     orbits: Sequence[OrbitSpec],
 ) -> dict:
     """Serialize an assembled restricted S-matrix with its pair labels."""
+    return _with_s_entries(_result_document(pairs, matrix, orbits))
+
+
+def _result_document(
+    pairs: Sequence[tuple[int, int]],
+    matrix: np.ndarray,
+    orbits: Sequence[OrbitSpec],
+) -> dict:
+    """:func:`restricted_result_to_dict` with ``"S"`` still a complex array,
+    which the CLI's JSON encoder writes as the same text."""
     return {
         "pairs": [
             {"orbit": orbits[i].label, "character": l} for i, l in pairs
         ],
-        "S": [[format_complex(z) for z in row] for row in np.asarray(matrix)],
+        "S": np.asarray(matrix, dtype=complex),
     }

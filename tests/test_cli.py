@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from orbmod import fixtures, modular_data, perm_orbifold
+from orbmod import cli, fixtures, modular_data, perm_orbifold
 from orbmod.cli import format_complex_csv, main, render_fusion_table
 from orbmod.modular_data import parse_modular_datum, verlinde_fusion
 from orbmod.perm_orbifold import module_count, permutation_restriction_data
@@ -168,6 +168,62 @@ def test_rational_out_of_range_is_input_error(runner, tmp_path, command, name, m
     assert result.stderr == (
         f"error: {path}: rational number out of range (more than 4300 digits): {text!r}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command,name,mutate,where",
+    [
+        # each input has 4300 digits; the orbifold's k*c has 4301
+        (
+            ["perm", "--k", "2", "-o", "orb.json"],
+            "holomorphic_c8",
+            lambda doc: doc.update(central_charge="8" * 4300),
+            "central_charge",
+        ),
+        # the T angle h - c/24 has the lcm of both denominators
+        *(
+            (
+                ["tmatrix", "--format", fmt],
+                "ising",
+                lambda doc: doc["modules"][1].update(h="1/" + "7" * 4300),
+                "T angle of module 'eps'",
+            )
+            for fmt in ("pretty", "json", "csv")
+        ),
+    ],
+    ids=["perm-kc", "tmatrix-pretty", "tmatrix-json", "tmatrix-csv"],
+)
+def test_computed_rational_out_of_range_is_input_error(
+    runner, tmp_path, monkeypatch, command, name, mutate, where
+):
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads(fixtures.path(name).read_text())
+    mutate(doc)
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, [*command, str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: {path}: rational number out of range (more than 4300 digits) in {where}\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["datum.json"]
+
+
+@pytest.mark.parametrize("labels", [[None, 5], ["None", None], [5, "x"]])
+def test_non_string_labels_are_input_errors(runner, tmp_path, labels):
+    doc = json.loads(fixtures.path("ising").read_text())
+    for module, label in zip(doc["modules"][1:], labels):
+        module["label"] = label
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["tmatrix", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    pos = 1 if not isinstance(labels[0], str) else 2
+    kind = type(labels[pos - 1]).__name__
+    assert result.stderr == f"error: {path}: module #{pos} label must be a string, not {kind}\n"
 
 
 def test_validate_deterministic(runner):
@@ -464,6 +520,34 @@ def test_perm_refuses_orbifold_larger_than_memory(runner, monkeypatch, k, count)
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith(f"error: the k={k} orbifold of {ising_path()} has {count} modules;")
+
+
+@pytest.mark.parametrize(
+    "command,subject",
+    [
+        (["validate"], "{path}"),
+        (["check"], "{path}"),
+        (["fusion", "--format", "json"], "{path}"),
+        (["perm", "--k", "2"], "the k=2 orbifold of {path}"),
+    ],
+    ids=["validate", "check", "fusion", "perm"],
+)
+def test_every_validating_command_refuses_a_datum_larger_than_memory(
+    runner, monkeypatch, command, subject
+):
+    def no_validation(*args, **kwargs):
+        raise AssertionError("validation started")
+
+    monkeypatch.setattr(cli, "validate_modular_datum", no_validation)
+    monkeypatch.setattr(os, "sysconf", lambda name: 1)  # one page of one byte
+    result = runner.invoke(main, [*command, ising_path()])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    count = 3 if command[0] != "perm" else module_count(3, 2)
+    assert result.stderr == (
+        f"error: {subject.format(path=ising_path())} has {count} modules; validating it "
+        "needs more than the 9.31e-10 GiB of physical memory\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ the reference."""
 
 import json
 
+import numpy as np
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from orbmod import fixtures
 from orbmod.cli import _dump_json, main
+from orbmod.modular_data import format_complex
 from orbmod.perm_orbifold import permutation_restriction_data
 from orbmod.restricted import restricted_spec_to_dict
 
@@ -41,6 +44,47 @@ documents = st.recursive(
 @given(documents)
 def test_dump_json_matches_indented_json_dumps(doc):
     assert _dump_json(doc) == reference(doc)
+
+
+# arrays stand for S-matrices and fusion tables; 1 to 3 axes, some of length 0
+shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+int_arrays = hnp.arrays(np.int64, shapes, elements=st.one_of(st.integers(-3, 1100), st.integers(-2**63, 2**63 - 1)))
+parts = st.one_of(floats, st.sampled_from([-1e300, 1.5, -2.0]))
+complex_arrays = hnp.arrays(np.complex128, shapes, elements=st.builds(complex, parts, parts))
+array_documents = st.recursive(
+    st.one_of(scalars, int_arrays, complex_arrays),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(texts, inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def plain(o):
+    """``o`` with each array in the form the encoder writes it as: its
+    ``.tolist()``, with every complex number as its ``format_complex`` dict."""
+    if isinstance(o, np.ndarray):
+        return plain(o.tolist())
+    if isinstance(o, dict):
+        return {k: plain(v) for k, v in o.items()}
+    if isinstance(o, list):
+        return [plain(v) for v in o]
+    return format_complex(o) if isinstance(o, complex) else o
+
+
+@settings(deadline=None)
+@given(array_documents)
+def test_dump_json_writes_arrays_as_their_plain_lists(doc):
+    assert _dump_json(doc) == reference(plain(doc))
+
+
+def test_dump_json_array_edge_values():
+    doc = {
+        "ints": np.array([[-1, 0, 1023], [1024, -(2**63), 2**63 - 1]]),
+        "empty": [np.zeros((0,), int), np.zeros((2, 0, 3), complex)],
+        "complex": np.array([[complex(-0.0, 5e-324), complex(1e300, -0.0)]]),
+        "scalar": np.array(complex(0.5, -1.0)),
+        "uint8": np.arange(3, dtype=np.uint8),
+    }
+    assert _dump_json(doc) == reference(plain(doc))
 
 
 def test_dump_json_edge_values():

@@ -6,15 +6,20 @@ with an intended change of the output format.
 """
 
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from orbmod import fixtures
 from orbmod.cli import main
+from orbmod.modular_data import modular_datum_to_dict
 from orbmod.perm_orbifold import permutation_restriction_data
 from orbmod.restricted import restricted_spec_to_dict
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 GOLDEN = {
     "perm-ising-2": "e054d68f46102059d25d70c3cc89fa4b3bcd93400199906ac3cdc7e137216308",
@@ -30,6 +35,10 @@ GOLDEN = {
     "orbcheck-ising-3": "a2226dbd2fc6a1929596e2620c798792f9bed9e31a469914d9c5202d9772ff12",
     "orbfusion-ising-2-csv": "20c208b2bfce830549aa3f3003cdf3557fc07c742f2f74b1346ccd417969b294",
     "orbfusion-ising-3-csv": "8d45175924ce7d45df7a994da1688d8983992f4b739f256cd3e6eba071b798f4",
+    # the 35^3 table as nested JSON lists, with the residual of this build
+    "orbfusion-ising-3-json": "c78b27f198725c70eea0a2bfc5984d6b5fb2458014fd67e84026eb13a8b37800",
+    # a generated source whose S has nonzero imaginary parts
+    "permsrc-u1:4-2": "06afb2a0aede2b22249eac756188881c0b42a366fc1bef46f1a1c25dc3865cf5",
     "tmatrix-ising-pretty": "16fd2f6b67a4cc1b0fded8601fc8524c0db60e4684bd47564fa9a9fd2c6025d7",
     "tmatrix-ising-json": "3be032d79277695957fa9d04b8ec9a88dd706fcad7c6122f54d665841bac3b9b",
     "tmatrix-ising-csv": "96c4f2ca631c86b95cda0ed64b17aca498171591bd632f2107beab0ef6aeeef7",
@@ -57,15 +66,25 @@ def _invoke(args, exit_code=0):
     return result.stdout_bytes + result.stderr_bytes
 
 
-def _perm(tmp_path, name, k):
+def _perm(tmp_path, source, k):
     out = tmp_path / "orb.json"
-    _invoke(["perm", "--k", str(k), str(fixtures.path(name)), "-o", str(out)])
+    _invoke(["perm", "--k", str(k), str(source), "-o", str(out)])
     return out.read_bytes()
+
+
+def _source_file(tmp_path, spec):
+    # a source family of the benchmark's inputs, defined once in perfbench
+    loader = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(inputs)
+    path = tmp_path / "source.json"
+    path.write_text(json.dumps(modular_datum_to_dict(inputs.source(spec))))
+    return path
 
 
 def _on_orbifold(tmp_path, name, k, args):
     # `check` prints its input path, so the orbifold goes to a relative one
-    _perm(tmp_path, name, k)
+    _perm(tmp_path, fixtures.path(name), k)
     return _invoke([*args, "orb.json"])
 
 
@@ -85,7 +104,10 @@ def _output(case, tmp_path):
     kind, rest = case.split("-", 1)
     if kind == "perm":
         name, k = rest.split("-")
-        return _perm(tmp_path, name, int(k))
+        return _perm(tmp_path, fixtures.path(name), int(k))
+    if kind == "permsrc":
+        spec, k = rest.split("-")
+        return _perm(tmp_path, _source_file(tmp_path, spec), int(k))
     if kind == "permplus":
         name, k = rest.split("-")
         return _invoke(["perm", "--convention", "plus", "--k", k, str(fixtures.path(name))], 1)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from orbmod import fixtures, modular_data
@@ -117,11 +118,25 @@ def test_parse_rejects_nonzero_vacuum_weight():
         pytest.param(json.dumps(dict(MINIMAL, modules=["1"])), id="module-string"),
         pytest.param(json.dumps(dict(MINIMAL, S="1")), id="S-string"),
         pytest.param(json.dumps(dict(MINIMAL, S=[{"re": "1", "im": "0"}])), id="S-row-object"),
+        # labels are JSON strings; str() made null the label "None"
+        pytest.param(json.dumps(dict(MINIMAL, modules=[{"label": None, "h": "0"}])), id="label-null"),
+        pytest.param(json.dumps(dict(MINIMAL, modules=[{"label": 5, "h": "0"}])), id="label-int"),
     ],
 )
 def test_parse_rejects_malformed_documents(text):
     with pytest.raises(InvalidDatum):
         parse_modular_datum(text)
+
+
+def test_parse_names_the_module_of_a_non_string_label():
+    # str() made these the duplicate labels ['None']
+    doc = {
+        "central_charge": "1/2",
+        "modules": [{"label": "None", "h": "0"}, {"label": None, "h": "1/2"}],
+        "S": [[{"re": "1", "im": "0"}] * 2] * 2,
+    }
+    with pytest.raises(InvalidDatum, match=r"^module #1 label must be a string, not NoneType$"):
+        parse_modular_datum(doc)
 
 
 @pytest.mark.parametrize(
@@ -193,6 +208,85 @@ def test_parse_ignores_unknown_keys():
     doc["modules"] = [{"label": "1", "h": "0", "label_kind": "diag", "i": 0, "a": 0}]
     d = parse_modular_datum(json.dumps(doc))
     assert d.rank == 1
+
+
+def parse_entry_by_entry(doc):
+    """S as ``parse_modular_datum`` read it before its flat pass: one
+    ``_parse_complex`` per entry, in row-major order."""
+    raw = doc["S"]
+    n = len(raw)
+    return np.array(
+        [[modular_data._parse_complex(raw[i][j], f"S[{i}][{j}]") for j in range(n)] for i in range(n)],
+        dtype=complex,
+    )
+
+
+good_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**300), 10**300),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.from_regex(r"\A *[-+]?\d{1,4}(\.\d{0,4})?([eE][-+]?\d{1,2})? *\Z"),
+)
+# values that are a string or number but no finite float
+non_finite_values = st.sampled_from(["nan", "inf", "-Infinity", "1e400", float("inf"), float("nan"), 10**400])
+bad_values = st.one_of(
+    non_finite_values,
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["one", "", "0x1", [1], {}]),
+)
+
+
+@st.composite
+def s_documents(draw):
+    n = draw(st.integers(1, 3))
+    # a quarter of the documents are clean and take the flat pass
+    flaw = draw(st.sampled_from(["none", "non-finite", "value", "entry"]))
+    values = {
+        "none": good_values,
+        "non-finite": st.one_of(good_values, non_finite_values),
+        "value": st.one_of(good_values, bad_values),
+        "entry": st.one_of(good_values, bad_values),
+    }[flaw]
+    entry = st.fixed_dictionaries(
+        {"re": values, "im": values}, optional={"note": st.text(max_size=2)}
+    )
+    if flaw == "entry":
+        entry = st.one_of(
+            entry,
+            st.fixed_dictionaries({"im": values}),  # no "re"
+            st.sampled_from(["1", 1, None, [], [{"re": "1", "im": "0"}]]),
+        )
+    return {
+        "central_charge": "0",
+        "modules": [{"label": str(i), "h": "0"} for i in range(n)],
+        "S": draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)),
+    }
+
+
+@settings(deadline=None)
+@given(s_documents())
+def test_flat_parse_agrees_with_parse_entry_by_entry(doc):
+    try:
+        expected = parse_entry_by_entry(doc)
+    except InvalidDatum as exc:
+        with pytest.raises(InvalidDatum) as caught:
+            parse_modular_datum(doc)
+        assert str(caught.value) == str(exc)
+    else:
+        assert parse_modular_datum(doc).s_matrix.tobytes() == expected.tobytes()
+
+
+def test_flat_parse_takes_clean_documents():
+    # the fast path is taken, not only agreed with
+    raw = modular_datum_to_dict(fixtures.load("ising"))["S"]
+    raw[0][1] = {"re": 0.5, "im": 0, "note": "x"}
+    raw[1][1] = {"re": "-0.0", "im": " 5e-324 "}
+    flat = modular_data._flat_s(raw)
+    assert flat is not None
+    assert flat.tobytes() == parse_entry_by_entry({"S": raw}).tobytes()
+    raw[2][2] = {"re": True, "im": "0"}
+    assert modular_data._flat_s(raw) is None
 
 
 def test_serialization_round_trip(ising):

@@ -416,6 +416,9 @@ def test_parse_restricted_spec_round_trip(ising):
         lambda doc: doc["orbits"][0]["characters"].update(
             elements=[[], []], table=[[{"re": "1", "im": "0"}] * 2]
         ),
+        # labels are JSON strings; str() made null the label "None"
+        lambda doc: doc["orbits"][1].update(label=None),
+        lambda doc: doc["orbits"][2].update(label=5),
     ],
 )
 def test_parse_restricted_spec_rejects_malformed(ising, mutate):
@@ -423,3 +426,12 @@ def test_parse_restricted_spec_rejects_malformed(ising, mutate):
     mutate(doc)
     with pytest.raises(InvalidDatum):
         parse_restricted_spec(json.dumps(doc))
+
+
+def test_parse_restricted_spec_names_the_orbit_of_a_non_string_label(ising):
+    doc = spec_document(ising)
+    doc["orbits"][1]["label"] = None
+    with pytest.raises(
+        InvalidDatum, match=r"^bad orbit entry orbits\[1\]: label must be a string, not NoneType$"
+    ):
+        parse_restricted_spec(doc)
