@@ -165,11 +165,8 @@ def _encode_array(a: np.ndarray, newline: str) -> str:
     of them."""
     if a.size == 0 or a.dtype.kind not in "iuc":
         return _encode(a.tolist(), newline)
-    if a.ndim > 2:
-        # one matrix at a time, so the row strings of only one are alive
-        inner = newline + "  "
-        body = ("," + inner).join([_encode_array(m, inner) for m in a])
-        return "[" + inner + body + newline + "]"
+    if a.ndim > 2:  # one matrix at a time, so the row strings of only one are alive
+        return _encode(list(a), newline)
     flat = a.ravel()
     if a.dtype.kind == "c":
         # format_complex(z) as a dict on its own line: keys "im", "re"
