@@ -107,10 +107,15 @@ def _require_memory(rank: int, subject: str) -> None:
         )
 
 
-# fusion tables hold small ints, and a lookup here is cheaper than int.__repr__
-_INT_TEXT = {i: str(i) for i in range(1024)}
-# the same strings, for a lookup by an int array
-_INT_TEXT_ARRAY = np.array(list(_INT_TEXT.values()), dtype=object)
+def _text_rows(texts) -> np.ndarray:
+    """The ASCII ``texts`` as the rows of a uint8 matrix, NUL-padded to the
+    longest."""
+    a = np.array(list(texts), dtype=bytes)
+    return a.view(np.uint8).reshape(len(a), a.itemsize)
+
+
+# fusion tables hold small ints: their texts, looked up by value
+_SMALL_INTS = _text_rows(map(str, range(1024)))
 
 
 def _dump_json(doc: dict) -> str:
@@ -119,84 +124,129 @@ def _dump_json(doc: dict) -> str:
 
     With ``indent`` set, CPython's ``json`` leaves its C encoder for a
     pure-Python one that yields one chunk per token (over a million for a
-    6.9 MB fusion table).  This encoder instead joins each all-int list
-    in a single ``str.join`` over precomputed strings of small ints.
+    6.9 MB fusion table).  This encoder appends the text of each part of
+    ``doc`` to one list of chunks, which is joined once at the end.
 
     An ``np.ndarray`` of int or complex dtype may stand anywhere in
     ``doc``.  It is written as its ``.tolist()`` would be, except that each
-    complex entry ``z`` is written as its ``format_complex(z)`` dict, so
-    S-matrices and fusion tables need no per-entry Python objects."""
-    return _encode(doc, "\n") + "\n"
+    complex entry ``z`` is written as its ``format_complex(z)`` dict.  Its
+    text is built by numpy as byte grids of up to ``_GRID_ENTRIES`` entries
+    (see :func:`_grid_text`), one chunk each, so S-matrices and fusion
+    tables need no per-entry Python objects."""
+    chunks: list[str] = []
+    _encode(doc, "\n", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
 
 
-def _encode(o, newline: str) -> str:
-    # ``newline`` is "\n" plus the indent of the line ``o`` starts on
+def _encode(o, newline: str, out: list[str]) -> None:
+    # appends the text of ``o`` to ``out``; ``newline`` is "\n" plus the
+    # indent of the line ``o`` starts on
     if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    inner = newline + "  "
-    sep = "," + inner
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        body = sep.join([
-            encode_basestring_ascii(k) + ": " + _encode(v, inner)
-            for k, v in sorted(o.items())
-        ])
-        return "{" + inner + body + newline + "}"
-    if isinstance(o, np.ndarray):
-        return _encode_array(o, newline)
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        if set(map(type, o)) == {int}:
-            try:
-                body = sep.join(map(_INT_TEXT.__getitem__, o))
-            except KeyError:  # an int outside the table
-                body = sep.join(map(int.__repr__, o))
-        else:
-            body = sep.join([_encode(v, inner) for v in o])
-        return "[" + inner + body + newline + "]"
-    return json.dumps(o)  # float, bool, None and lone ints, spelled as json does
-
-
-def _encode_array(a: np.ndarray, newline: str) -> str:
-    """Text of an int or complex array: the leaf strings of each matrix are
-    made in one flat pass, then each axis from the innermost out joins runs
-    of them."""
-    if a.size == 0 or a.dtype.kind not in "iuc":
-        return _encode(a.tolist(), newline)
-    if a.ndim > 2:  # one matrix at a time, so the row strings of only one are alive
-        return _encode(list(a), newline)
-    flat = a.ravel()
-    if a.dtype.kind == "c":
-        # format_complex(z) as a dict on its own line: keys "im", "re"
-        line = newline + "  " * a.ndim
-        head = "{" + line + '  "im": "'
-        middle = '",' + line + '  "re": "'
-        tail = '"' + line + "}"
-        leaves = [
-            head + im + middle + re + tail
-            for im, re in zip(
-                map(float.__repr__, flat.imag.tolist()),
-                map(float.__repr__, flat.real.tolist()),
-            )
-        ]
-    elif 0 <= flat.min() and flat.max() < len(_INT_TEXT_ARRAY):
-        leaves = _INT_TEXT_ARRAY[flat].tolist()
+        out.append(encode_basestring_ascii(o))
+    elif isinstance(o, np.ndarray):
+        _encode_array(o, newline, out)
+    elif type(o) is int:  # not bool
+        out.append(int.__repr__(o))
+    elif not isinstance(o, (dict, list, tuple)):
+        out.append(json.dumps(o))  # float, bool and None, spelled as json does
+    elif not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
     else:
-        leaves = list(map(int.__repr__, flat.tolist()))
-    for axis in reversed(range(a.ndim)):
-        line = newline + "  " * axis  # the line each list of this axis opens on
-        open_, sep, close = "[" + line + "  ", "," + line + "  ", line + "]"
-        m = a.shape[axis]
-        leaves = [
-            open_ + sep.join(leaves[i:i + m]) + close for i in range(0, len(leaves), m)
-        ]
-    return leaves[0]
+        inner = newline + "  "
+        if isinstance(o, dict):
+            opener = "{" + inner
+            for k, v in sorted(o.items()):
+                out.append(opener + encode_basestring_ascii(k) + ": ")
+                opener = "," + inner
+                _encode(v, inner, out)
+            out.append(newline + "}")
+        else:
+            opener = "[" + inner
+            for v in o:
+                out.append(opener)
+                opener = "," + inner
+                _encode(v, inner, out)
+            out.append(newline + "]")
+
+
+def _encode_array(a: np.ndarray, newline: str, out: list[str]) -> None:
+    """Append the text of an int or complex array, as byte grids of at most
+    ``_GRID_ENTRIES`` entries with a row per innermost list."""
+    if a.size == 0 or a.dtype.kind not in "iuc":
+        return _encode(a.tolist(), newline, out)
+    n = a.ndim
+    levels = [newline + "  " * d for d in range(n + 1)]  # the lines lists open on
+    sep = "," + levels[n]  # before each entry but the first of its row
+    # heads[t] opens a row where t lists close; heads[0] opens the array
+    heads = ["".join("[" + level for level in levels[1:])] + [
+        "".join(level + "]" for level in reversed(levels[n - t:n]))
+        + "," + levels[n - t] + "".join("[" + level for level in levels[n - t + 1:])
+        for t in range(1, n)
+    ]
+    width = max(map(len, [*heads, sep]))  # a 0-d array has no sep
+    heads = "".join(head.ljust(width, "\0") for head in heads)
+    heads = np.frombuffer(heads.encode(), np.uint8).reshape(-1, width)
+    m = a.reshape(-1, a.shape[-1]) if n else a.reshape(1, 1)
+    kinds = np.ones(len(m), np.intp)
+    for t in range(2, n):
+        kinds[::math.prod(a.shape[n - t:n - 1])] = t
+    kinds[0] = 0
+    step = max(1, _GRID_ENTRIES // m.shape[1])
+    for r in range(0, len(m), step):
+        out.append(_grid_text(m[r:r + step], levels[n], heads[kinds[r:r + step]]))
+    out.append("".join(level + "]" for level in reversed(levels[:-1])))
+
+
+# entries written as one grid: scratch stays O(N^2) for an N^3 fusion table
+_GRID_ENTRIES = 1 << 16
+
+
+def _grid_text(m: np.ndarray, line: str, heads: np.ndarray) -> str:
+    """Text of the rows of the int or complex matrix ``m``, whose entries
+    start on ``line``, each row opening on its row of ``heads``.
+
+    Every cell is copied from one template (the comma, and the
+    ``format_complex`` scaffolding of a complex entry), and its NUL-padded
+    slots are filled from a table of the distinct leaf texts.  Dropping the
+    NULs leaves the text: JSON strings hold none, as they are written
+    through ``encode_basestring_ascii``."""
+    if m.dtype.kind == "c":
+        parts = np.stack([m.imag, m.real], dtype=np.float64)
+        # over the bit patterns, so that 0.0 and -0.0 stay apart
+        bits, slots = np.unique(parts.view(np.int64), return_inverse=True)
+        table = _text_rows(map(float.__repr__, bits.view(np.float64).tolist()))
+        slots = slots.reshape(parts.shape)
+        pieces = ["{" + line + '  "im": "', '",' + line + '  "re": "', '"' + line + "}"]
+    elif m.min() >= 0 and m.max() < len(_SMALL_INTS):
+        table = _SMALL_INTS[:, :len(str(m.max()))]
+        slots, pieces = [m], ["", ""]
+    else:
+        values, slots = np.unique(m, return_inverse=True)
+        table = _text_rows(map(int.__repr__, values.tolist()))
+        slots, pieces = [slots.reshape(m.shape)], ["", ""]
+    cell = "," + line + pieces[0]
+    offsets = []
+    for piece in pieces[1:]:
+        offsets.append(len(cell))
+        cell += "\0" * table.shape[1] + piece
+    rows, cols = m.shape
+    indent = heads.shape[1] - len(line) - 1  # where the first cell starts
+    grid = np.empty((rows, indent + cols * len(cell)), np.uint8)
+    cells = grid[:, indent:].reshape(rows, cols, len(cell))  # a view
+    cells[...] = np.frombuffer(cell.encode(), np.uint8)
+    grid[:, :heads.shape[1]] = heads
+    for offset, index in zip(offsets, slots):
+        cells[:, :, offset:offset + table.shape[1]] = table[index]
+    return grid[grid != 0].tobytes().decode("ascii")
 
 
 def _write_output(text: str, output: str | None) -> None:
-    """Print ``text``, or write it to ``output``.
+    """Print the JSON ``text``, or write it to ``output``.
+
+    Printed text goes to stdout's binary buffer as ASCII bytes, which
+    ``click.echo`` does not scan for ANSI codes as it scans text for a
+    pipe; a stdout with no buffer, such as an ``io.StringIO``, gets text.
 
     A regular or new file is replaced atomically: ``text`` goes to a temp
     file in the target's directory that is renamed over the target, so a
@@ -207,7 +257,7 @@ def _write_output(text: str, output: str | None) -> None:
     xattrs.  Anything else (``/dev/null``, ``/dev/stdout``, a FIFO), and a
     file whose directory refuses a temp file, is written in place."""
     if output is None:
-        click.echo(text, nl=False)
+        click.echo(text.encode("ascii") if hasattr(sys.stdout, "buffer") else text, nl=False)
         return
     try:
         try:
@@ -364,7 +414,7 @@ def fusion(input_path, eps, eps_int, fmt):
             "fusion": tensor.table,
             "residual": tensor.residual,
         }
-        click.echo(_dump_json(doc), nl=False)
+        _write_output(_dump_json(doc), None)
     elif fmt == "csv":
         lines = ["i,j,m,N"]
         for i, j, m, mult in _nonzero_entries(tensor.table):
@@ -396,7 +446,7 @@ def tmatrix(input_path, fmt):
             {"label": m.label, "angle": angle, **format_complex(p.value)}
             for m, angle, p in rows
         ]
-        click.echo(_dump_json({"t_phases": doc}), nl=False)
+        _write_output(_dump_json({"t_phases": doc}), None)
     elif fmt == "csv":
         lines = ["label,angle,value"]
         for m, angle, p in rows:

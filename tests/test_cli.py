@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import stat
@@ -454,6 +455,32 @@ def test_perm_stdout_mode_is_parseable(runner):
     datum = parse_modular_datum(result.stdout)
     assert datum.rank == 15
     assert "validation: PASS" in result.stderr
+
+
+def test_json_reaches_a_stdout_without_a_binary_buffer(runner, monkeypatch):
+    # JSON is printed as bytes where stdout has a buffer; io.StringIO has none
+    args = ["fusion", "--format", "json", ising_path()]
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    with pytest.raises(SystemExit) as exit_:
+        main(args, standalone_mode=False)
+    monkeypatch.undo()
+    assert exit_.value.code == 0
+    assert stdout.getvalue() == runner.invoke(main, args).stdout
+    assert json.loads(stdout.getvalue())["labels"] == ["1", "eps", "sigma"]
+
+
+def test_perm_output_file_keeps_its_summary_on_stdout(runner, tmp_path):
+    out = tmp_path / "orb.json"
+    result = runner.invoke(main, ["perm", "--k", "2", ising_path(), "-o", str(out)])
+    assert result.exit_code == 0
+    assert result.stdout.splitlines() == [
+        "modules: 15",
+        "convention: minus",
+        "validation: PASS",
+        "convention 'minus' validated",
+    ]
+    assert result.stderr == ""
 
 
 def test_perm_convention_flag(runner, tmp_path):

@@ -3,13 +3,15 @@
 the reference."""
 
 import json
+import struct
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from orbmod import fixtures
+from orbmod import cli, fixtures
 from orbmod.cli import _dump_json, main
 from orbmod.modular_data import format_complex
 from orbmod.perm_orbifold import permutation_restriction_data
@@ -74,6 +76,80 @@ def plain(o):
 @given(array_documents)
 def test_dump_json_writes_arrays_as_their_plain_lists(doc):
     assert _dump_json(doc) == reference(plain(doc))
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _int64(pattern: int) -> int:
+    """A 64-bit pattern (here a NaN with a payload) as an int64."""
+    return struct.unpack("<q", struct.pack("<Q", pattern))[0]
+
+
+# matrices up to 16 x 16, so a grid row holds many cells of unequal width
+wide_shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=16)
+# the digit-width edges of the small-int table, past it, and the int64 extremes
+edge_ints = st.sampled_from(
+    [0, 9, 10, 99, 100, 999, 1000, 1023, 1024, -1, -10, -1024, 2**63 - 1, -(2**63)]
+)
+wide_int_arrays = hnp.arrays(
+    np.int64, wide_shapes, elements=st.one_of(edge_ints, st.integers(-(2**63), 2**63 - 1))
+)
+# complex parts as bit patterns, so NaNs of different payloads and -0.0 stay apart
+edge_part_bits = st.sampled_from(
+    [_bits(x) for x in (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1)]
+    + [_bits(float("inf")), _bits(-float("inf")), _bits(float("nan"))]
+    + [_int64(0x7FF8000000000001), _int64(0xFFF8000000000000), _int64(0x7FF0000000000001)]
+)
+wide_complex_arrays = hnp.arrays(
+    np.int64,
+    wide_shapes.map(lambda shape: (*shape, 2)),
+    elements=st.one_of(edge_part_bits, st.floats().map(_bits)),
+).map(lambda bits: bits.view(np.complex128)[..., 0])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.one_of(wide_int_arrays, wide_complex_arrays), min_size=1, max_size=3))
+@example([np.array([[[9, 0]], [[1023, 10]], [[1024, 5]], [[-1, 99]], [[100, 2**63 - 1]]])])
+@example([np.array([[0, 9], [10, 1000]]).reshape(2, 2, 1)])
+@example([
+    np.array([[_bits(0.0), _bits(-0.0)], [_int64(0x7FF8000000000001), _bits(float("nan"))]])
+    .view(np.complex128)
+])
+def test_dump_json_writes_wide_arrays_as_their_plain_lists(arrays):
+    # one 3-axis array may hold matrices whose leaves differ in width
+    doc = {"arrays": arrays}
+    assert _dump_json(doc) == reference(plain(doc))
+
+
+@pytest.mark.parametrize("entries", [1, 5, 16])
+def test_dump_json_splits_arrays_into_grids_anywhere(entries, monkeypatch):
+    # a grid may end inside a matrix or span two, and has its own leaf table
+    monkeypatch.setattr(cli, "_GRID_ENTRIES", entries)
+    doc = {
+        "ints": np.arange(24).reshape(2, 3, 4) * 47 - 100,
+        "4d": np.array([0, 9, 10, 99, 100, 1023, 1024, 5] * 2).reshape(2, 2, 2, 2),
+        "complex": np.append((np.arange(11) - 5.5) * (1 - 0.5j), -0.0).reshape(2, 2, 3),
+        "vector": np.arange(7),
+        "scalar": np.array(complex(-0.0, 1e300)),
+    }
+    assert _dump_json(doc) == reference(plain(doc))
+
+
+def test_dump_json_writes_nul_in_strings_escaped_next_to_arrays():
+    # the array grids drop their NUL padding; a NUL in a string must stay
+    doc = {
+        "\x00": "\x00",
+        "labels": ["a\x00b", "\x00"],
+        "fusion": np.array([[[0, 1], [1023, 1024]]]),
+        "S": np.array([[complex(-0.0, 0.5), complex(1.0, float("nan"))]]),
+        "value": "x\x00",
+    }
+    text = _dump_json(doc)
+    assert "\x00" not in text
+    assert text.count("\\u0000") == 5
+    assert text == reference(plain(doc))
 
 
 def test_dump_json_array_edge_values():

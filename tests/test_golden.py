@@ -8,11 +8,15 @@ with an intended change of the output format.
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import orbmod
 from orbmod import fixtures
 from orbmod.cli import main
 from orbmod.modular_data import modular_datum_to_dict
@@ -132,3 +136,15 @@ def test_cli_output_bytes_match_golden(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     digest = hashlib.sha256(_output(case, tmp_path)).hexdigest()
     assert digest == GOLDEN[case]
+
+
+def test_perm_to_a_pipe_matches_golden():
+    # a real process: stdout is a pipe with a binary buffer, not CliRunner's
+    src = str(Path(orbmod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-m", "orbmod.cli", "perm", "--k", "2", str(fixtures.path("ising"))],
+        capture_output=True, env=env, check=True,
+    )
+    assert hashlib.sha256(result.stdout).hexdigest() == GOLDEN["perm-ising-2"]
+    assert b"validation: PASS" in result.stderr
