@@ -15,6 +15,7 @@ import math
 import os
 import stat
 import sys
+from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -29,11 +30,11 @@ from .modular_data import (
     ModularDatum,
     ValidationReport,
     _rational_text,
+    _require_memory,
     format_complex,
     parse_modular_datum,
     t_matrix,
     validate_modular_datum,
-    validation_bytes,
 )
 from .perm_orbifold import _orbifold_document, build_orbifold_datum, module_count
 from .restricted import (
@@ -93,18 +94,14 @@ def _load_datum(path: str) -> ModularDatum:
         _fail_input(f"{path}: {exc}")
 
 
-def _require_memory(rank: int, subject: str) -> None:
-    """Refuse, before anything is allocated, to validate a datum of this
-    rank when :func:`validation_bytes` exceeds physical memory."""
-    need = validation_bytes(rank)
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        # str() refuses ints of more than 4300 digits, which k ~ 10**4 reaches
-        count = rank if rank < 10**15 else f"about 10^{math.log10(rank):.0f}"
-        _fail_input(
-            f"{subject} has {count} modules; validating it needs more than "
-            f"the {have / 2**30:.3g} GiB of physical memory"
-        )
+def _check_memory(rank: int, subject: str, *, keep_fusion: bool = False) -> None:
+    """Exit 2, before anything is allocated, when validating a datum of
+    this rank would need more than physical memory (see
+    :func:`orbmod.modular_data.validation_bytes`)."""
+    try:
+        _require_memory(rank, subject, keep_fusion=keep_fusion)
+    except InvalidDatum as exc:
+        _fail_input(str(exc))
 
 
 def _text_rows(texts) -> np.ndarray:
@@ -118,30 +115,41 @@ def _text_rows(texts) -> np.ndarray:
 _SMALL_INTS = _text_rows(map(str, range(1024)))
 
 
-def _dump_json(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte,
-    for any document whose dict keys are strings.
+def _dump_json(doc: dict) -> Iterator[bytes]:
+    """The ASCII bytes of ``json.dumps(doc, indent=2, sort_keys=True) +
+    "\\n"``, byte for byte, for any document whose dict keys are strings,
+    as a stream of chunks to be written in order.
 
     With ``indent`` set, CPython's ``json`` leaves its C encoder for a
     pure-Python one that yields one chunk per token (over a million for a
-    6.9 MB fusion table).  This encoder appends the text of each part of
-    ``doc`` to one list of chunks, which is joined once at the end.
+    6.9 MB fusion table).  This encoder collects the text of ``doc``'s
+    parts, and yields each run of it between two arrays as one chunk.
 
     An ``np.ndarray`` of int or complex dtype may stand anywhere in
     ``doc``.  It is written as its ``.tolist()`` would be, except that each
     complex entry ``z`` is written as its ``format_complex(z)`` dict.  Its
     text is built by numpy as byte grids of up to ``_GRID_ENTRIES`` entries
-    (see :func:`_grid_text`), one chunk each, so S-matrices and fusion
-    tables need no per-entry Python objects."""
-    chunks: list[str] = []
-    _encode(doc, "\n", chunks)
-    chunks.append("\n")
-    return "".join(chunks)
+    (see :func:`_grid_chunks`) when its chunks are reached, so S-matrices
+    and fusion tables need no per-entry Python objects, and no text of the
+    whole document is ever held."""
+    parts: list = []  # texts, and the lazy chunks of each array
+    _encode(doc, "\n", parts)
+    parts.append("\n")
+    texts: list[str] = []
+    for part in parts:
+        if isinstance(part, str):
+            texts.append(part)
+            continue
+        yield "".join(texts).encode("ascii")
+        texts.clear()
+        yield from part
+    yield "".join(texts).encode("ascii")
 
 
-def _encode(o, newline: str, out: list[str]) -> None:
-    # appends the text of ``o`` to ``out``; ``newline`` is "\n" plus the
-    # indent of the line ``o`` starts on
+def _encode(o, newline: str, out: list) -> None:
+    # appends the text of ``o`` to ``out``, an array's as an iterator of
+    # byte chunks; ``newline`` is "\n" plus the indent of the line ``o``
+    # starts on
     if isinstance(o, str):
         out.append(encode_basestring_ascii(o))
     elif isinstance(o, np.ndarray):
@@ -170,9 +178,10 @@ def _encode(o, newline: str, out: list[str]) -> None:
             out.append(newline + "]")
 
 
-def _encode_array(a: np.ndarray, newline: str, out: list[str]) -> None:
-    """Append the text of an int or complex array, as byte grids of at most
-    ``_GRID_ENTRIES`` entries with a row per innermost list."""
+def _encode_array(a: np.ndarray, newline: str, out: list) -> None:
+    """Append the text of an int or complex array, as an iterator over
+    byte grids of at most ``_GRID_ENTRIES`` entries with a row per
+    innermost list."""
     if a.size == 0 or a.dtype.kind not in "iuc":
         return _encode(a.tolist(), newline, out)
     n = a.ndim
@@ -184,8 +193,10 @@ def _encode_array(a: np.ndarray, newline: str, out: list[str]) -> None:
         + "," + levels[n - t] + "".join("[" + level for level in levels[n - t + 1:])
         for t in range(1, n)
     ]
+    head_lengths = [len(head) for head in heads]
     width = max(map(len, [*heads, sep]))  # a 0-d array has no sep
-    heads = "".join(head.ljust(width, "\0") for head in heads)
+    # NUL-padded on the left, so a row's text starts where its head does
+    heads = "".join(head.rjust(width, "\0") for head in heads)
     heads = np.frombuffer(heads.encode(), np.uint8).reshape(-1, width)
     m = a.reshape(-1, a.shape[-1]) if n else a.reshape(1, 1)
     kinds = np.ones(len(m), np.intp)
@@ -193,8 +204,13 @@ def _encode_array(a: np.ndarray, newline: str, out: list[str]) -> None:
         kinds[::math.prod(a.shape[n - t:n - 1])] = t
     kinds[0] = 0
     step = max(1, _GRID_ENTRIES // m.shape[1])
-    for r in range(0, len(m), step):
-        out.append(_grid_text(m[r:r + step], levels[n], heads[kinds[r:r + step]]))
+    out.append(
+        chunk
+        for r in range(0, len(m), step)
+        for chunk in _grid_chunks(
+            m[r:r + step], levels[n], heads, head_lengths, kinds[r:r + step]
+        )
+    )
     out.append("".join(level + "]" for level in reversed(levels[:-1])))
 
 
@@ -202,15 +218,21 @@ def _encode_array(a: np.ndarray, newline: str, out: list[str]) -> None:
 _GRID_ENTRIES = 1 << 16
 
 
-def _grid_text(m: np.ndarray, line: str, heads: np.ndarray) -> str:
-    """Text of the rows of the int or complex matrix ``m``, whose entries
-    start on ``line``, each row opening on its row of ``heads``.
+def _grid_chunks(
+    m: np.ndarray, line: str, heads: np.ndarray, head_lengths: list[int], kinds: np.ndarray
+) -> Iterator[bytes]:
+    """The ASCII text of the rows of the int or complex matrix ``m``, whose
+    entries start on ``line``.  Row ``i`` opens on the head
+    ``heads[kinds[i]]``, NUL-padded on the left from its length in
+    ``head_lengths``.
 
-    Every cell is copied from one template (the comma, and the
-    ``format_complex`` scaffolding of a complex entry), and its NUL-padded
-    slots are filled from a table of the distinct leaf texts.  Dropping the
-    NULs leaves the text: JSON strings hold none, as they are written
-    through ``encode_basestring_ascii``."""
+    The grid is filled from one template row of cells (the commas, and the
+    ``format_complex`` scaffolding of a complex entry); each cell's
+    NUL-padded slots are then filled from a table of the distinct leaf
+    texts.  When these texts all have one width, only the heads hold NULs,
+    and each run of rows of one kind is cut at its head's padding.
+    Otherwise dropping the NULs leaves the text: JSON strings hold none, as
+    they are written through ``encode_basestring_ascii``."""
     if m.dtype.kind == "c":
         parts = np.stack([m.imag, m.real], dtype=np.float64)
         # over the bit patterns, so that 0.0 and -0.0 stay apart
@@ -218,13 +240,16 @@ def _grid_text(m: np.ndarray, line: str, heads: np.ndarray) -> str:
         table = _text_rows(map(float.__repr__, bits.view(np.float64).tolist()))
         slots = slots.reshape(parts.shape)
         pieces = ["{" + line + '  "im": "', '",' + line + '  "re": "', '"' + line + "}"]
-    elif m.min() >= 0 and m.max() < len(_SMALL_INTS):
-        table = _SMALL_INTS[:, :len(str(m.max()))]
+        same_width = table.all()
+    elif (low := m.min()) >= 0 and (high := m.max()) < len(_SMALL_INTS):
+        table = _SMALL_INTS[:, :len(str(high))]
         slots, pieces = [m], ["", ""]
+        same_width = len(str(low)) == len(str(high))
     else:
         values, slots = np.unique(m, return_inverse=True)
         table = _text_rows(map(int.__repr__, values.tolist()))
         slots, pieces = [slots.reshape(m.shape)], ["", ""]
+        same_width = table.all()
     cell = "," + line + pieces[0]
     offsets = []
     for piece in pieces[1:]:
@@ -233,22 +258,29 @@ def _grid_text(m: np.ndarray, line: str, heads: np.ndarray) -> str:
     rows, cols = m.shape
     indent = heads.shape[1] - len(line) - 1  # where the first cell starts
     grid = np.empty((rows, indent + cols * len(cell)), np.uint8)
+    grid[:, indent:] = np.frombuffer((cell * cols).encode(), np.uint8)
+    grid[:, :heads.shape[1]] = heads[kinds]
     cells = grid[:, indent:].reshape(rows, cols, len(cell))  # a view
-    cells[...] = np.frombuffer(cell.encode(), np.uint8)
-    grid[:, :heads.shape[1]] = heads
     for offset, index in zip(offsets, slots):
         cells[:, :, offset:offset + table.shape[1]] = table[index]
-    return grid[grid != 0].tobytes().decode("ascii")
+    if not same_width:
+        yield grid[grid != 0].tobytes()
+        return
+    starts = np.flatnonzero(np.diff(kinds, prepend=-1))
+    for start, stop in zip(starts.tolist(), [*starts[1:].tolist(), rows]):
+        yield grid[start:stop, heads.shape[1] - head_lengths[kinds[start]]:].tobytes()
 
 
-def _write_output(text: str, output: str | None) -> None:
-    """Print the JSON ``text``, or write it to ``output``.
+def _write_output(chunks: Iterable[bytes], output: str | None) -> None:
+    """Write the ASCII byte ``chunks`` of a JSON document, in order, to
+    stdout or to the file ``output``; no text of the whole document is
+    made.
 
-    Printed text goes to stdout's binary buffer as ASCII bytes, which
-    ``click.echo`` does not scan for ANSI codes as it scans text for a
-    pipe; a stdout with no buffer, such as an ``io.StringIO``, gets text.
+    Printed chunks go to stdout's binary buffer, which ``click.echo`` does
+    not scan for ANSI codes as it scans text for a pipe; a stdout with no
+    buffer, such as an ``io.StringIO``, gets them as text.
 
-    A regular or new file is replaced atomically: ``text`` goes to a temp
+    A regular or new file is replaced atomically: the chunks go to a temp
     file in the target's directory that is renamed over the target, so a
     run that fails or is killed mid-write leaves the old file (or none),
     never a truncated one.  No fsync is made, so this does not hold across
@@ -257,34 +289,49 @@ def _write_output(text: str, output: str | None) -> None:
     xattrs.  Anything else (``/dev/null``, ``/dev/stdout``, a FIFO), and a
     file whose directory refuses a temp file, is written in place."""
     if output is None:
-        click.echo(text.encode("ascii") if hasattr(sys.stdout, "buffer") else text, nl=False)
+        stream = getattr(sys.stdout, "buffer", None)
+        if stream is None:
+            for chunk in chunks:
+                sys.stdout.write(chunk.decode("ascii"))
+        else:
+            sys.stdout.flush()  # text echoed before, if any
+            for chunk in chunks:
+                stream.write(chunk)
+            stream.flush()
         return
     try:
         try:
-            old = os.stat(output)  # through a symlink, as write_text goes
+            old = os.stat(output)  # through a symlink, as open goes
         except FileNotFoundError:
             old = None
         if old is not None and not stat.S_ISREG(old.st_mode):
-            Path(output).write_text(text)
+            _write_in_place(output, chunks)
         else:
-            _replace_file(Path(output).resolve(), text, old)
+            _replace_file(Path(output).resolve(), chunks, old)
     except OSError as exc:
         _fail_input(f"cannot write {output}: {exc}")
 
 
-def _replace_file(target: Path, text: str, old: os.stat_result | None) -> None:
+def _write_in_place(path, chunks: Iterable[bytes]) -> None:
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+def _replace_file(target: Path, chunks: Iterable[bytes], old: os.stat_result | None) -> None:
     tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}")
     try:
-        # mode 0o666 less the umask, as write_text creates a file
+        # mode 0o666 less the umask, as open creates a file
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except PermissionError:
         if old is None:
             raise
-        target.write_text(text)
+        _write_in_place(target, chunks)
         return
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         if old is not None:
             os.chmod(tmp, old.st_mode & 0o777)
         os.replace(tmp, target)
@@ -309,8 +356,6 @@ def _report_dict(report: ValidationReport) -> dict:
 
 
 def _render_report(report: ValidationReport, fmt: str) -> str:
-    if fmt == "json":
-        return _dump_json(_report_dict(report))
     if fmt == "csv":
         lines = ["check,passed,residual,detail"]
         for c in report.checks:
@@ -366,9 +411,12 @@ def main():
 def validate(input_path, eps, eps_int, fmt):
     """Run the full validation suite on a modular-datum JSON file."""
     datum = _load_datum(input_path)
-    _require_memory(datum.rank, input_path)
+    _check_memory(datum.rank, input_path)
     report = validate_modular_datum(datum, eps, eps_int)
-    click.echo(_render_report(report, fmt), nl=False)
+    if fmt == "json":
+        _write_output(_dump_json(_report_dict(report)), None)
+    else:
+        click.echo(_render_report(report, fmt), nl=False)
     sys.exit(0 if report.ok else 1)
 
 
@@ -379,7 +427,7 @@ def validate(input_path, eps, eps_int, fmt):
 def check(input_path, eps, eps_int):
     """Terse validation: verdict plus any failing checks."""
     datum = _load_datum(input_path)
-    _require_memory(datum.rank, input_path)
+    _check_memory(datum.rank, input_path)
     report = validate_modular_datum(datum, eps, eps_int)
     for c in report.failures():
         click.echo(f"FAIL {c.name} residual={c.residual:.6e} {c.detail}".rstrip())
@@ -397,8 +445,8 @@ def check(input_path, eps, eps_int):
 def fusion(input_path, eps, eps_int, fmt):
     """Verlinde fusion rules of a validated datum."""
     datum = _load_datum(input_path)
-    _require_memory(datum.rank, input_path)
-    report = validate_modular_datum(datum, eps, eps_int)
+    _check_memory(datum.rank, input_path, keep_fusion=True)
+    report = validate_modular_datum(datum, eps, eps_int, keep_fusion=True)
     gate = [report["unitary"], report["vacuum_row_positive"]]
     if not all(c.passed for c in gate):
         click.echo("datum fails unitarity/positivity; fusion not computed", err=True)
@@ -480,7 +528,7 @@ def perm(input_path, k, output, convention, eps, eps_int):
     if not is_prime(k):
         _fail_input(f"k must be prime, got {k}")
     datum = _load_datum(input_path)
-    _require_memory(module_count(datum.rank, k), f"the k={k} orbifold of {input_path}")
+    _check_memory(module_count(datum.rank, k), f"the k={k} orbifold of {input_path}")
     in_report = validate_modular_datum(datum, eps, eps_int)
     if not in_report.ok:
         for c in in_report.failures():
@@ -495,9 +543,8 @@ def perm(input_path, k, output, convention, eps, eps_int):
         # a ModularDatum invariant (unique labels, finite S), or a rational
         # too long to write
         _fail_input(f"{input_path}: {exc}")
-    text = _dump_json(doc)
     summary = sys.stdout if output is not None else sys.stderr
-    _write_output(text, output)
+    _write_output(_dump_json(doc), output)
     click.echo(f"modules: {orb.datum.rank}", file=summary)
     click.echo(f"convention: {orb.convention}", file=summary)
     verdict = "PASS" if orb.report.ok else "FAIL"

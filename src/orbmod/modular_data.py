@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
+import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -160,23 +162,32 @@ class FusionTensor:
     """Verlinde fusion multiplicities ``N[i, j, m]`` plus rounding residual.
 
     ``residual`` is the largest distance of any raw coefficient from the
-    nearest integer (including its imaginary part); callers gate on it to
-    decide whether the rounded table is trustworthy.
+    nearest integer (including its imaginary part), and ``smallest`` is the
+    smallest rounded coefficient (NaN when a coefficient is NaN); callers
+    gate on both to decide whether the rounded table is trustworthy.
 
-    A ``table`` that already is an int ndarray is kept, not copied, and is
-    made read-only in place.
+    ``table`` is ``None`` when :func:`verlinde_fusion` was asked not to keep
+    it.  A ``table`` that already is an int ndarray is kept, not copied, and
+    is made read-only in place; ``smallest`` is read from it when omitted.
     """
 
-    table: np.ndarray
+    table: np.ndarray | None
     residual: float
+    smallest: float | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=int)
-        if t.ndim != 3 or len({t.shape[0], t.shape[1], t.shape[2]}) != 1:
-            raise ValueError(f"fusion tensor must be cubic, got shape {t.shape}")
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
+        if self.table is not None:
+            t = np.asarray(self.table, dtype=int)
+            if t.ndim != 3 or len({t.shape[0], t.shape[1], t.shape[2]}) != 1:
+                raise ValueError(f"fusion tensor must be cubic, got shape {t.shape}")
+            t.setflags(write=False)
+            object.__setattr__(self, "table", t)
+            if self.smallest is None:
+                object.__setattr__(self, "smallest", t.min() if t.size else 0)
+        elif self.smallest is None:
+            raise ValueError("a fusion tensor without a table needs its smallest coefficient")
         object.__setattr__(self, "residual", float(self.residual))
+        object.__setattr__(self, "smallest", float(self.smallest))
 
     @property
     def rank(self) -> int:
@@ -197,11 +208,13 @@ class CheckResult:
 class ValidationReport:
     """Collection of named check results with an overall verdict.
 
-    ``fusion`` is the Verlinde :class:`FusionTensor` that
+    ``fusion`` is the Verlinde :class:`FusionTensor`, table included, that
     :func:`validate_modular_datum` built for its ``fusion_integrality``
-    check, so callers can reuse it instead of computing it again; it is
-    ``None`` when Verlinde fusion is undefined for the datum (the check's
-    detail says why) and for reports that run no fusion check.
+    check when asked to keep it (``keep_fusion=True``), so callers can reuse
+    it instead of computing it again.  It is ``None`` otherwise: when the
+    table was not asked for, when Verlinde fusion is undefined for the
+    datum (the check's detail says why), and for reports that run no
+    fusion check.
     """
 
     checks: tuple[CheckResult, ...]
@@ -389,15 +402,25 @@ def parse_modular_datum(document: str | dict) -> ModularDatum:
 def _flat_s(raw_s: list) -> np.ndarray | None:
     """The square complex matrix of the ``{"re", "im"}`` rows ``raw_s``,
     or ``None`` when some entry is not one that :func:`_parse_complex`
-    reads as a finite value."""
+    reads as a finite value.
+
+    When every part is a string, each distinct text is converted once and
+    then looked up: S-matrices repeat few values.  Number parts are
+    converted one by one, as a JSON ``0`` and ``-0.0`` are one dict key."""
     entries = list(chain.from_iterable(raw_s))
     if set(map(type, entries)) != {dict}:
         return None
     try:
         parts = list(chain.from_iterable(map(itemgetter("re", "im"), entries)))
-        if not set(map(type, parts)) <= {str, int, float}:
+        kinds = set(map(type, parts))
+        if kinds == {str}:
+            texts = set(parts)
+            values = map(dict(zip(texts, map(float, texts))).__getitem__, parts)
+        elif kinds <= {str, int, float}:
+            values = map(float, parts)
+        else:
             return None
-        values = np.fromiter(map(float, parts), float, len(parts))
+        values = np.fromiter(values, float, len(parts))
     except (KeyError, ValueError, OverflowError):
         return None
     if not np.isfinite(values).all():
@@ -444,19 +467,23 @@ def _t_array(d: ModularDatum) -> np.ndarray:
     return np.array([p.value for p in t_matrix(d)])
 
 
-def verlinde_fusion(d: ModularDatum) -> FusionTensor:
+def verlinde_fusion(d: ModularDatum, *, keep_table: bool = True) -> FusionTensor:
     """Fusion multiplicities ``N[i, j, m] = sum_l S_il S_jl conj(S_ml) / S_0l``.
 
     Raises :class:`InvalidDatum` if a vacuum-row entry is closer to zero than
     ``1e-12``, which signals an invalid datum (the formula divides by it).
     The returned tensor is rounded; inspect :attr:`FusionTensor.residual`
-    before trusting the integers.
+    and :attr:`FusionTensor.smallest` before trusting the integers.
 
     Cost: about ``N**4 / 2`` complex multiply-adds, as one matrix product per
     block of rows ``i`` over the pairs ``j >= i`` (``N[j, i] = N[i, j]``
-    fills the rest), and ``O(block * N**2)`` scratch beyond the ``N**3``
-    integer table, where a block holds about ``2**15 / N**2`` rows.  The
-    residual's last digits depend on the summation order of the BLAS build.
+    fills the rest), and ``O(block * N**2)`` scratch, where a block holds
+    about ``2**15 / N**2`` rows.  Each block is folded into the residual and
+    the smallest coefficient as it is made.  With ``keep_table=False`` it
+    is then dropped, so the pass holds ``O(N**2)`` memory and the tensor's
+    ``table`` is ``None``; otherwise it is stored in the ``N**3`` integer
+    table.  Both give the same residual, whose last digits depend on the
+    summation order of the BLAS build.
     """
     s = d.s_matrix
     n = d.rank
@@ -465,25 +492,58 @@ def verlinde_fusion(d: ModularDatum) -> FusionTensor:
             "vacuum S-matrix row has a near-zero entry; fusion is undefined"
         )
     w = (s.conj() / s[0]).T  # w[l, m] = conj(S_ml) / S_0l
-    table = np.empty((n, n, n), dtype=int)
+    table = np.empty((n, n, n), dtype=int) if keep_table else None
     residual = 0.0
+    smallest = np.inf
     rows = max(1, _FUSION_BLOCK_PRODUCTS // n**2)
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
         pairs = (s[i0:i1, None] * s[i0:]).reshape(-1, n)  # S_il S_jl, j >= i0
         raw = (pairs @ w).reshape(i1 - i0, n - i0, n)
         r = np.rint(raw.real)
-        residual = np.maximum(residual, abs(raw - r).max())  # keeps a NaN
-        table[i0:i1, i0:] = r
-        table[i0:, i0:i1] = r.transpose(1, 0, 2)
-    return FusionTensor(table, residual)
+        smallest = np.minimum(smallest, r.min())  # keeps a NaN
+        raw.real -= r  # the bits of raw - r, without a second block
+        residual = np.maximum(residual, abs(raw).max())  # keeps a NaN
+        if table is not None:
+            table[i0:i1, i0:] = r
+            table[i0:, i0:i1] = r.transpose(1, 0, 2)
+    return FusionTensor(table, residual, smallest)
 
 
-def validation_bytes(rank: int) -> int:
-    """Bytes that :func:`validate_modular_datum` holds at least for a datum
-    of this rank: the ``rank**3`` integer table of :func:`verlinde_fusion`
-    and the complex S-matrix."""
-    return np.dtype(int).itemsize * rank**3 + np.dtype(complex).itemsize * rank**2
+# complex N x N arrays that validate_modular_datum holds at once, S included
+_VALIDATION_SQUARES = 8
+# bytes per entry of a verlinde_fusion row block: the complex pairs and raw
+# coefficients, and two float arrays of the block's size
+_BLOCK_ENTRY_BYTES = 48
+
+
+def validation_bytes(rank: int, *, keep_fusion: bool = False) -> int:
+    """Bytes that :func:`validate_modular_datum` holds at most at once for
+    a datum of this rank: the complex S-matrix with its few ``rank**2``
+    temporaries and one row block of :func:`verlinde_fusion`, plus with
+    ``keep_fusion`` the ``rank**3`` integer fusion table."""
+    need = (
+        np.dtype(complex).itemsize * _VALIDATION_SQUARES * rank**2
+        + _BLOCK_ENTRY_BYTES * max(_FUSION_BLOCK_PRODUCTS, rank**2)
+    )
+    if keep_fusion:
+        need += np.dtype(int).itemsize * rank**3
+    return need
+
+
+def _require_memory(rank: int, subject: str, *, keep_fusion: bool = False) -> None:
+    """Refuse, before anything is allocated, to validate a datum of this
+    rank when :func:`validation_bytes` exceeds physical memory: raises
+    :class:`InvalidDatum`, whose message names ``subject``."""
+    need = validation_bytes(rank, keep_fusion=keep_fusion)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        # str() refuses ints of more than 4300 digits, which k ~ 10**4 reaches
+        count = rank if rank < 10**15 else f"about 10^{math.log10(rank):.0f}"
+        raise InvalidDatum(
+            f"{subject} has {count} modules; validating it needs more than "
+            f"the {have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def quantum_dimensions(d: ModularDatum) -> tuple[np.ndarray, float]:
@@ -515,6 +575,8 @@ def validate_modular_datum(
     d: ModularDatum,
     eps: float = DEFAULT_EPS,
     eps_int: float = DEFAULT_EPS_INT,
+    *,
+    keep_fusion: bool = False,
 ) -> ValidationReport:
     """Run the full consistency suite on a datum.
 
@@ -528,8 +590,11 @@ def validate_modular_datum(
     - ``fusion_integrality``: Verlinde coefficients within ``eps_int`` of
       nonnegative integers.
 
-    The report keeps the Verlinde tensor built for ``fusion_integrality``
-    as :attr:`ValidationReport.fusion` (``None`` when fusion is undefined).
+    ``fusion_integrality`` streams Verlinde fusion in ``O(N**2)`` memory
+    (see :func:`validation_bytes`).  With ``keep_fusion=True`` it keeps the
+    ``N**3`` table instead, and the report holds the tensor as
+    :attr:`ValidationReport.fusion` (``None`` when fusion is undefined);
+    both give the same residual and verdict.
     """
     s = d.s_matrix
     n = d.rank
@@ -569,12 +634,12 @@ def validate_modular_datum(
     checks.append(CheckResult("modular_relation", res <= eps, res, detail))
 
     try:
-        fusion = verlinde_fusion(d)
+        fusion = verlinde_fusion(d, keep_table=keep_fusion)
     except InvalidDatum as exc:
         fusion = None
         checks.append(CheckResult("fusion_integrality", False, float("inf"), str(exc)))
     else:
-        nonneg = bool(np.min(fusion.table) >= 0)
+        nonneg = fusion.smallest >= 0
         detail = "" if nonneg else "rounded fusion coefficients contain negatives"
         checks.append(
             CheckResult(
@@ -585,4 +650,4 @@ def validate_modular_datum(
             )
         )
 
-    return ValidationReport(tuple(checks), fusion)
+    return ValidationReport(tuple(checks), fusion if keep_fusion else None)

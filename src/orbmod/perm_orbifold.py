@@ -48,6 +48,7 @@ from .modular_data import (
     Phase,
     ValidationReport,
     _datum_document,
+    _require_memory,
     _with_s_entries,
     validate_modular_datum,
 )
@@ -334,12 +335,17 @@ def build_orbifold_datum(
     """Run the whole pipeline: enumerate, assemble S, build T, validate.
 
     The input datum must itself pass validation (checked unless
-    ``validate_input=False``; failures raise :class:`InvalidDatum`).  The
-    returned orbifold datum carries its own validation report; callers
-    decide how to act on a failing report (e.g. retry with the flipped
-    convention).
+    ``validate_input=False``; failures raise :class:`InvalidDatum`).  An
+    orbifold whose :func:`~orbmod.modular_data.validation_bytes` exceed
+    physical memory is refused with :class:`InvalidDatum` before anything
+    is enumerated.  The returned orbifold datum carries its own validation
+    report; callers decide how to act on a failing report (e.g. retry with
+    the flipped convention).
     """
-    labelled = enumerate_orbifold_modules(d, k, convention)  # checks k, convention
+    if not is_prime(k):
+        raise ValueError(f"k must be prime, got {k}")
+    _require_memory(module_count(d.rank, k), f"the k={k} orbifold")
+    labelled = enumerate_orbifold_modules(d, k, convention)  # checks convention
     if validate_input:
         in_report = validate_modular_datum(d, eps, eps_int)
         if not in_report.ok:

@@ -277,18 +277,28 @@ def test_fusion_reports_undefined_verlinde(runner, tmp_path):
 def test_fusion_computes_verlinde_once(runner, monkeypatch):
     calls = []
 
-    def counting(d):
-        calls.append(d.rank)
-        return original(d)
+    def counting(d, **kwargs):
+        calls.append((d.rank, kwargs.get("keep_table", True)))
+        return original(d, **kwargs)
 
     # rebind every orbmod name for the function, however it was imported
     original = modular_data.verlinde_fusion
     for name, module in list(sys.modules.items()):
         if name.startswith("orbmod") and getattr(module, "verlinde_fusion", None) is original:
             monkeypatch.setattr(module, "verlinde_fusion", counting)
-    result = runner.invoke(main, ["fusion", ising_path()])
-    assert result.exit_code == 0
-    assert calls == [3]
+    # one pass per datum (perm validates its input and the orbifold), and
+    # only fusion keeps the table
+    passes = {
+        ("fusion",): [(3, True)],
+        ("check",): [(3, False)],
+        ("validate",): [(3, False)],
+        ("perm", "--k", "2"): [(3, False), (15, False)],
+    }
+    for command, expected in passes.items():
+        calls.clear()
+        result = runner.invoke(main, [*command, ising_path()])
+        assert result.exit_code == 0
+        assert calls == expected, command
 
 
 def test_render_fusion_table_multiplicity():
@@ -349,11 +359,12 @@ def test_perm_output_byte_identical(runner, tmp_path):
 
 
 class FailingFile:
-    """A text file that takes half of what it is given, then fails as a full
-    disk would."""
+    """A file that takes the first ``whole`` chunks it is given, then half of
+    the next one, then fails as a full disk would."""
 
-    def __init__(self, fh):
+    def __init__(self, fh, whole=0):
         self.fh = fh
+        self.whole = whole
 
     def __enter__(self):
         return self
@@ -361,19 +372,25 @@ class FailingFile:
     def __exit__(self, *exc):
         self.fh.close()
 
-    def write(self, text):
-        self.fh.write(text[: len(text) // 2])
+    def write(self, data):
+        if self.whole:
+            self.whole -= 1
+            return self.fh.write(data)
+        self.fh.write(data[: len(data) // 2])
         self.fh.flush()
         raise OSError(28, "No space left on device")
 
 
-@pytest.mark.parametrize("step", ["write", "replace"])
+@pytest.mark.parametrize("step", ["write", "second-chunk", "replace"])
 def test_perm_failed_write_leaves_old_target(runner, tmp_path, monkeypatch, step):
     out = tmp_path / "orb.json"
     out.write_text("old\n")
-    if step == "write":
+    if step != "replace":
         real_fdopen = os.fdopen
-        monkeypatch.setattr(os, "fdopen", lambda fd, mode: FailingFile(real_fdopen(fd, mode)))
+        whole = int(step == "second-chunk")
+        monkeypatch.setattr(
+            os, "fdopen", lambda fd, mode: FailingFile(real_fdopen(fd, mode), whole)
+        )
     else:
         def fail(src, dst):
             raise OSError(5, "Input/output error")
@@ -468,6 +485,54 @@ def test_json_reaches_a_stdout_without_a_binary_buffer(runner, monkeypatch):
     assert exit_.value.code == 0
     assert stdout.getvalue() == runner.invoke(main, args).stdout
     assert json.loads(stdout.getvalue())["labels"] == ["1", "eps", "sigma"]
+
+
+def pipe_bytes(chunks, monkeypatch):
+    """What a process reading a pipe on stdout gets."""
+    read_end, write_end = os.pipe()
+    received = []
+    reader = threading.Thread(target=lambda: received.append(os.fdopen(read_end, "rb").read()))
+    reader.start()
+    with io.TextIOWrapper(os.fdopen(write_end, "wb"), encoding="ascii") as stdout:
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stdout)
+            cli._write_output(chunks, None)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    return received[0]
+
+
+def text_stdout_bytes(chunks, monkeypatch):
+    stdout = io.StringIO()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        cli._write_output(chunks, None)
+    return stdout.getvalue().encode("ascii")
+
+
+def file_bytes(chunks, path):
+    cli._write_output(chunks, str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        # every entry one digit wide: the grids are cut at their heads
+        np.arange(5**3).reshape(5, 5, 5) % 10,
+        # widths from 1 to 5 digits, and negative entries
+        (np.arange(5**3).reshape(5, 5, 5) - 60) ** 3 // 7,
+    ],
+    ids=["one-width", "mixed-widths"],
+)
+@pytest.mark.parametrize("grid_entries", [7, 1 << 16])
+def test_every_sink_gets_the_same_json_bytes(table, grid_entries, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_GRID_ENTRIES", grid_entries)
+    doc = {"labels": ["a", "b"], "fusion": table, "residual": 1e-15}
+    expected = (json.dumps({**doc, "fusion": table.tolist()}, indent=2, sort_keys=True) + "\n").encode()
+    assert pipe_bytes(cli._dump_json(doc), monkeypatch) == expected
+    assert text_stdout_bytes(cli._dump_json(doc), monkeypatch) == expected
+    assert file_bytes(cli._dump_json(doc), tmp_path / "out.json") == expected
 
 
 def test_perm_output_file_keeps_its_summary_on_stdout(runner, tmp_path):
@@ -575,6 +640,18 @@ def test_every_validating_command_refuses_a_datum_larger_than_memory(
         f"error: {subject.format(path=ising_path())} has {count} modules; validating it "
         "needs more than the 9.31e-10 GiB of physical memory\n"
     )
+
+
+def test_fusion_alone_needs_memory_for_its_table(runner, monkeypatch):
+    # physical memory that holds the streamed validation of Ising, but not
+    # its 3^3 fusion table beside it
+    have = modular_data.validation_bytes(3) + 8
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": have, "SC_PAGE_SIZE": 1}.__getitem__)
+    assert runner.invoke(main, ["validate", ising_path()]).exit_code == 0
+    assert runner.invoke(main, ["check", ising_path()]).exit_code == 0
+    result = runner.invoke(main, ["fusion", ising_path()])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: {ising_path()} has 3 modules; validating it needs")
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,13 @@ def reference(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def dump(doc) -> str:
+    """The text of the encoder's chunks, joined here."""
+    chunks = list(_dump_json(doc))
+    assert all(type(chunk) is bytes for chunk in chunks)
+    return b"".join(chunks).decode("ascii")
+
+
 texts = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t,é€😀'), st.characters()))
 # small ints come from a table of precomputed strings; the rest do not
 ints = st.one_of(st.integers(-3, 1100), st.integers())
@@ -45,7 +52,7 @@ documents = st.recursive(
 @settings(deadline=None)
 @given(documents)
 def test_dump_json_matches_indented_json_dumps(doc):
-    assert _dump_json(doc) == reference(doc)
+    assert dump(doc) == reference(doc)
 
 
 # arrays stand for S-matrices and fusion tables; 1 to 3 axes, some of length 0
@@ -75,7 +82,7 @@ def plain(o):
 @settings(deadline=None)
 @given(array_documents)
 def test_dump_json_writes_arrays_as_their_plain_lists(doc):
-    assert _dump_json(doc) == reference(plain(doc))
+    assert dump(doc) == reference(plain(doc))
 
 
 def _bits(x: float) -> int:
@@ -120,7 +127,7 @@ wide_complex_arrays = hnp.arrays(
 def test_dump_json_writes_wide_arrays_as_their_plain_lists(arrays):
     # one 3-axis array may hold matrices whose leaves differ in width
     doc = {"arrays": arrays}
-    assert _dump_json(doc) == reference(plain(doc))
+    assert dump(doc) == reference(plain(doc))
 
 
 @pytest.mark.parametrize("entries", [1, 5, 16])
@@ -134,7 +141,24 @@ def test_dump_json_splits_arrays_into_grids_anywhere(entries, monkeypatch):
         "vector": np.arange(7),
         "scalar": np.array(complex(-0.0, 1e300)),
     }
-    assert _dump_json(doc) == reference(plain(doc))
+    assert dump(doc) == reference(plain(doc))
+
+
+@pytest.mark.parametrize("entries", [1, 5, 16, 1 << 16])
+def test_dump_json_cuts_same_width_grids_at_their_heads(entries, monkeypatch):
+    # every leaf of each array has one width, so no cell holds a NUL and the
+    # grids are cut at the padding of their row heads
+    monkeypatch.setattr(cli, "_GRID_ENTRIES", entries)
+    doc = {
+        "one digit": np.arange(3 * 4 * 5).reshape(3, 4, 5) % 10,
+        "three digits": (np.arange(16) + 100).reshape(2, 2, 2, 2),
+        "negative": -np.arange(10, 34).reshape(2, 3, 4),
+        "large": np.full((2, 3), 2**40),
+        "complex": np.full((2, 2, 2), 0.5 + 1.5j),
+        "vector": np.arange(7),
+        "scalar": np.array(5),
+    }
+    assert dump(doc) == reference(plain(doc))
 
 
 def test_dump_json_writes_nul_in_strings_escaped_next_to_arrays():
@@ -146,7 +170,7 @@ def test_dump_json_writes_nul_in_strings_escaped_next_to_arrays():
         "S": np.array([[complex(-0.0, 0.5), complex(1.0, float("nan"))]]),
         "value": "x\x00",
     }
-    text = _dump_json(doc)
+    text = dump(doc)
     assert "\x00" not in text
     assert text.count("\\u0000") == 5
     assert text == reference(plain(doc))
@@ -160,7 +184,7 @@ def test_dump_json_array_edge_values():
         "scalar": np.array(complex(0.5, -1.0)),
         "uint8": np.arange(3, dtype=np.uint8),
     }
-    assert _dump_json(doc) == reference(plain(doc))
+    assert dump(doc) == reference(plain(doc))
 
 
 def test_dump_json_edge_values():
@@ -172,7 +196,7 @@ def test_dump_json_edge_values():
         "mixed": [1, True, False, None, 0, "1"],
         "nested": [[[]], [{}], {"b": [1], "a": "x"}],
     }
-    assert _dump_json(doc) == reference(doc)
+    assert dump(doc) == reference(doc)
 
 
 def _invoke(args):

@@ -8,12 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from orbmod import fixtures, modular_data
 from orbmod.modular_data import (
     DEFAULT_EPS_INT,
+    CheckResult,
     FusionTensor,
     InvalidDatum,
     ModularDatum,
@@ -25,6 +26,7 @@ from orbmod.modular_data import (
     quantum_dimensions,
     t_matrix,
     validate_modular_datum,
+    validation_bytes,
     verlinde_fusion,
 )
 from orbmod.perm_orbifold import build_orbifold_datum
@@ -221,7 +223,10 @@ def parse_entry_by_entry(doc):
     )
 
 
+# texts that repeat, and zeros whose sign must survive one parse per text
+repeated_texts = st.sampled_from(["-0.0", "0.0", "0", "-0", "0.5", " 0.5", "-1e-3"])
 good_values = st.one_of(
+    repeated_texts,
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(-(10**300), 10**300),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -264,8 +269,20 @@ def s_documents(draw):
     }
 
 
+def s_document(rows):
+    n = len(rows)
+    return {
+        "central_charge": "0",
+        "modules": [{"label": str(i), "h": "0"} for i in range(n)],
+        "S": [[{"re": re, "im": im} for re, im in row] for row in rows],
+    }
+
+
 @settings(deadline=None)
 @given(s_documents())
+@example(s_document([[("-0.0", "0.0"), ("0", "-0.0")], [("0", "-0.0"), ("0.0", "0")]]))
+@example(s_document([[("0", -0.0), (0, "-0.0")], [(-0.0, 0), ("0.0", 0.0)]]))
+@example(s_document([[("0.5", "x"), ("0.5", "0.5")], [("0.5", "0.5"), ("0.5", "0.5")]]))
 def test_flat_parse_agrees_with_parse_entry_by_entry(doc):
     try:
         expected = parse_entry_by_entry(doc)
@@ -346,7 +363,8 @@ def test_validation_flags_nonpositive_vacuum_row():
 
 
 def test_validation_report_keeps_fusion_tensor(fibonacci):
-    report = validate_modular_datum(fibonacci)
+    assert validate_modular_datum(fibonacci).fusion is None  # not asked for
+    report = validate_modular_datum(fibonacci, keep_fusion=True)
     expected = verlinde_fusion(fibonacci)
     assert np.array_equal(report.fusion.table, expected.table)
     assert report.fusion.residual == expected.residual
@@ -463,8 +481,9 @@ def family_datum(name, k):
     return d if k == 1 else build_orbifold_datum(d, k, "minus").datum
 
 
-def einsum_fusion(d):
-    """Oracle: the three-operand einsum, rounded the way the library rounds."""
+def einsum_fusion(d, keep_table=True):
+    """Oracle: the three-operand einsum, rounded the way the library rounds;
+    it always keeps its table."""
     s = d.s_matrix
     raw = np.einsum("il,jl,ml->ijm", s, s, s.conj() / s[0])
     rounded = np.round(raw.real)
@@ -475,18 +494,18 @@ def verdicts(report):
     return [(c.name, c.passed) for c in report.checks]
 
 
-@pytest.mark.parametrize(
-    "name,k,rank",
-    [
-        ("su2_1", 1, 2), ("su2_1", 2, 9), ("su2_1", 3, 20),
-        ("su2_2", 2, 15), ("su2_2", 3, 35),
-        ("su2_3", 1, 4), ("su2_3", 2, 22), ("su2_3", 3, 56),
-        ("su2_4", 3, 85), ("su2_10", 1, 11), ("su2_10", 2, 99),
-        ("u1_4", 1, 4), ("u1_4", 2, 22), ("u1_4", 3, 56),
-        ("u1_6", 1, 6), ("u1_6", 2, 39), ("u1_8", 2, 60),
-        ("su2_1*u1_4", 1, 8), ("su2_1*u1_4", 2, 60),
-    ],
-)
+ORACLE_CASES = [
+    ("su2_1", 1, 2), ("su2_1", 2, 9), ("su2_1", 3, 20),
+    ("su2_2", 2, 15), ("su2_2", 3, 35),
+    ("su2_3", 1, 4), ("su2_3", 2, 22), ("su2_3", 3, 56),
+    ("su2_4", 3, 85), ("su2_10", 1, 11), ("su2_10", 2, 99),
+    ("u1_4", 1, 4), ("u1_4", 2, 22), ("u1_4", 3, 56),
+    ("u1_6", 1, 6), ("u1_6", 2, 39), ("u1_8", 2, 60),
+    ("su2_1*u1_4", 1, 8), ("su2_1*u1_4", 2, 60),
+]
+
+
+@pytest.mark.parametrize("name,k,rank", ORACLE_CASES)
 def test_fusion_matches_einsum_oracle(name, k, rank, monkeypatch):
     d = family_datum(name, k)
     assert d.rank == rank
@@ -500,6 +519,98 @@ def test_fusion_matches_einsum_oracle(name, k, rank, monkeypatch):
     monkeypatch.setattr(modular_data, "verlinde_fusion", einsum_fusion)
     assert verdicts(report) == verdicts(validate_modular_datum(d))
     assert report.ok
+
+
+def table_path_check(d):
+    """The ``fusion_integrality`` row as validation made it from the
+    stored table before it streamed the table's blocks."""
+    try:
+        tensor = verlinde_fusion(d)
+    except InvalidDatum as exc:
+        return CheckResult("fusion_integrality", False, float("inf"), str(exc))
+    nonneg = bool(np.min(tensor.table) >= 0)
+    detail = "" if nonneg else "rounded fusion coefficients contain negatives"
+    return CheckResult(
+        "fusion_integrality", tensor.residual <= DEFAULT_EPS_INT and nonneg, tensor.residual, detail
+    )
+
+
+def check_bits(check):
+    # a NaN residual compares by its bits
+    return check.name, check.passed, np.float64(check.residual).tobytes(), check.detail
+
+
+def two_module_datum(s):
+    return ModularDatum(
+        Fraction(0), (ModuleInfo("1", Fraction(0)), ModuleInfo("x", Fraction(1, 2))), s
+    )
+
+
+a = 1e-13  # a vacuum entry too close to zero for the Verlinde formula
+EDGE_DATA = {
+    "near-zero vacuum row": two_module_datum([[a, (1 - a * a) ** 0.5], [(1 - a * a) ** 0.5, -a]]),
+    # S_1l**2 = 1e400 overflows; the raw coefficients hold inf - inf
+    "NaN residual": two_module_datum([[1.0, 1e200], [1e200, 1.0]]),
+    # N_11^1 = b**3 / a - a**3 / b = -1.58 rounds to -2
+    "negative coefficient": two_module_datum([[0.9, 0.19**0.5], [0.19**0.5, -0.9]]),
+}
+
+
+@pytest.mark.parametrize(
+    "d",
+    [pytest.param(case, id=f"{case[0]}-{case[1]}") for case in ORACLE_CASES]
+    + [pytest.param(d, id=name) for name, d in EDGE_DATA.items()],
+)
+def test_streamed_check_has_the_bits_of_the_table_path(d):
+    if isinstance(d, tuple):
+        d = family_datum(*d[:2])
+    # the NaN datum overflows, and its table path casts NaN to int
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = check_bits(table_path_check(d))
+        streamed = validate_modular_datum(d)["fusion_integrality"]
+        kept = validate_modular_datum(d, keep_fusion=True)["fusion_integrality"]
+    assert check_bits(streamed) == check_bits(kept) == expected
+
+
+def test_edge_data_reach_their_edge():
+    assert validate_modular_datum(EDGE_DATA["near-zero vacuum row"]).fusion is None
+    with np.errstate(over="ignore", invalid="ignore"):
+        nan_check = validate_modular_datum(EDGE_DATA["NaN residual"])["fusion_integrality"]
+    assert np.isnan(nan_check.residual)
+    assert nan_check.detail == "rounded fusion coefficients contain negatives"
+    tensor = verlinde_fusion(EDGE_DATA["negative coefficient"])
+    assert tensor.smallest == tensor.table.min() == -2
+
+
+def test_streamed_fusion_keeps_no_table():
+    d = family_datum("su2_3", 2)
+    streamed = verlinde_fusion(d, keep_table=False)
+    kept = verlinde_fusion(d)
+    assert streamed.table is None
+    assert streamed.residual == kept.residual
+    assert streamed.smallest == kept.smallest == kept.table.min() == 0
+
+
+def test_validation_streams_verlinde_in_small_memory():
+    d = family_datum("su2_10", 2)  # N = 99, a 7.8 MB table
+    table_bytes = np.dtype(int).itemsize * d.rank**3
+    peaks = {}
+    for keep in (False, True):
+        tracemalloc.start()
+        try:
+            validate_modular_datum(d, keep_fusion=keep)
+            _, peaks[keep] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[False] < table_bytes / 2
+    assert peaks[False] <= validation_bytes(d.rank)
+    assert table_bytes < peaks[True] <= validation_bytes(d.rank, keep_fusion=True)
+
+
+def test_validation_bytes_are_quadratic_unless_the_table_is_kept():
+    n = 1000
+    assert validation_bytes(2 * n) == 4 * validation_bytes(n)
+    assert validation_bytes(n, keep_fusion=True) == validation_bytes(n) + 8 * n**3
 
 
 def test_fusion_scratch_is_small_beside_the_table():

@@ -1,4 +1,5 @@
 import itertools
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -333,6 +334,25 @@ def test_build_rejects_invalid_input(ising):
     bad = type(ising)(ising.central_charge, ising.modules, s)
     with pytest.raises(InvalidDatum, match="fails validation"):
         build_orbifold_datum(bad, 2)
+
+
+@pytest.mark.parametrize("validate_input", [True, False])
+def test_build_refuses_an_orbifold_larger_than_memory(ising, monkeypatch, validate_input):
+    # N = 123,147: the S-matrix alone would take 243 GB
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("orbifold modules enumerated")
+
+    monkeypatch.setattr(perm_orbifold, "enumerate_orbifold_modules", no_enumeration)
+    monkeypatch.setattr(perm_orbifold, "_off_diagonal_tuples", no_enumeration)
+    monkeypatch.setattr(perm_orbifold, "validate_modular_datum", no_enumeration)
+    pages = {"SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 2**12}  # 8 GiB
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    with pytest.raises(InvalidDatum) as refused:
+        build_orbifold_datum(ising, 13, validate_input=validate_input)
+    assert str(refused.value) == (
+        "the k=13 orbifold has 123147 modules; validating it needs more than "
+        "the 8 GiB of physical memory"
+    )
 
 
 def test_label_text_unique_and_kinded(ising):
