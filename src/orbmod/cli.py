@@ -1,4 +1,6 @@
-"""Command-line front end.
+"""Command-line front end: the commands, their pretty and CSV rendering,
+and the writing of output.  Every JSON document is encoded by
+:func:`orbmod.modular_data._dump_json` and written by :func:`_write_output`.
 
 Exit codes: 0 when the requested computation succeeds and every check
 passes, 1 when tolerance-based checks fail, 2 on input errors (unreadable
@@ -10,13 +12,11 @@ and ``fusion``) depend on the summation order of the BLAS build.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import stat
 import sys
-from collections.abc import Iterable, Iterator
-from json.encoder import encode_basestring_ascii
+from collections.abc import Iterable
 from pathlib import Path
 
 import click
@@ -29,6 +29,7 @@ from .modular_data import (
     InvalidDatum,
     ModularDatum,
     ValidationReport,
+    _dump_json,
     _rational_text,
     _require_memory,
     format_complex,
@@ -96,179 +97,12 @@ def _load_datum(path: str) -> ModularDatum:
 
 def _check_memory(rank: int, subject: str, *, keep_fusion: bool = False) -> None:
     """Exit 2, before anything is allocated, when validating a datum of
-    this rank would need more than physical memory (see
+    this rank would need more memory than the machine has or allows (see
     :func:`orbmod.modular_data.validation_bytes`)."""
     try:
         _require_memory(rank, subject, keep_fusion=keep_fusion)
     except InvalidDatum as exc:
         _fail_input(str(exc))
-
-
-def _text_rows(texts) -> np.ndarray:
-    """The ASCII ``texts`` as the rows of a uint8 matrix, NUL-padded to the
-    longest."""
-    a = np.array(list(texts), dtype=bytes)
-    return a.view(np.uint8).reshape(len(a), a.itemsize)
-
-
-# fusion tables hold small ints: their texts, looked up by value
-_SMALL_INTS = _text_rows(map(str, range(1024)))
-
-
-def _dump_json(doc: dict) -> Iterator[bytes]:
-    """The ASCII bytes of ``json.dumps(doc, indent=2, sort_keys=True) +
-    "\\n"``, byte for byte, for any document whose dict keys are strings,
-    as a stream of chunks to be written in order.
-
-    With ``indent`` set, CPython's ``json`` leaves its C encoder for a
-    pure-Python one that yields one chunk per token (over a million for a
-    6.9 MB fusion table).  This encoder collects the text of ``doc``'s
-    parts, and yields each run of it between two arrays as one chunk.
-
-    An ``np.ndarray`` of int or complex dtype may stand anywhere in
-    ``doc``.  It is written as its ``.tolist()`` would be, except that each
-    complex entry ``z`` is written as its ``format_complex(z)`` dict.  Its
-    text is built by numpy as byte grids of up to ``_GRID_ENTRIES`` entries
-    (see :func:`_grid_chunks`) when its chunks are reached, so S-matrices
-    and fusion tables need no per-entry Python objects, and no text of the
-    whole document is ever held."""
-    parts: list = []  # texts, and the lazy chunks of each array
-    _encode(doc, "\n", parts)
-    parts.append("\n")
-    texts: list[str] = []
-    for part in parts:
-        if isinstance(part, str):
-            texts.append(part)
-            continue
-        yield "".join(texts).encode("ascii")
-        texts.clear()
-        yield from part
-    yield "".join(texts).encode("ascii")
-
-
-def _encode(o, newline: str, out: list) -> None:
-    # appends the text of ``o`` to ``out``, an array's as an iterator of
-    # byte chunks; ``newline`` is "\n" plus the indent of the line ``o``
-    # starts on
-    if isinstance(o, str):
-        out.append(encode_basestring_ascii(o))
-    elif isinstance(o, np.ndarray):
-        _encode_array(o, newline, out)
-    elif type(o) is int:  # not bool
-        out.append(int.__repr__(o))
-    elif not isinstance(o, (dict, list, tuple)):
-        out.append(json.dumps(o))  # float, bool and None, spelled as json does
-    elif not o:
-        out.append("{}" if isinstance(o, dict) else "[]")
-    else:
-        inner = newline + "  "
-        if isinstance(o, dict):
-            opener = "{" + inner
-            for k, v in sorted(o.items()):
-                out.append(opener + encode_basestring_ascii(k) + ": ")
-                opener = "," + inner
-                _encode(v, inner, out)
-            out.append(newline + "}")
-        else:
-            opener = "[" + inner
-            for v in o:
-                out.append(opener)
-                opener = "," + inner
-                _encode(v, inner, out)
-            out.append(newline + "]")
-
-
-def _encode_array(a: np.ndarray, newline: str, out: list) -> None:
-    """Append the text of an int or complex array, as an iterator over
-    byte grids of at most ``_GRID_ENTRIES`` entries with a row per
-    innermost list."""
-    if a.size == 0 or a.dtype.kind not in "iuc":
-        return _encode(a.tolist(), newline, out)
-    n = a.ndim
-    levels = [newline + "  " * d for d in range(n + 1)]  # the lines lists open on
-    sep = "," + levels[n]  # before each entry but the first of its row
-    # heads[t] opens a row where t lists close; heads[0] opens the array
-    heads = ["".join("[" + level for level in levels[1:])] + [
-        "".join(level + "]" for level in reversed(levels[n - t:n]))
-        + "," + levels[n - t] + "".join("[" + level for level in levels[n - t + 1:])
-        for t in range(1, n)
-    ]
-    head_lengths = [len(head) for head in heads]
-    width = max(map(len, [*heads, sep]))  # a 0-d array has no sep
-    # NUL-padded on the left, so a row's text starts where its head does
-    heads = "".join(head.rjust(width, "\0") for head in heads)
-    heads = np.frombuffer(heads.encode(), np.uint8).reshape(-1, width)
-    m = a.reshape(-1, a.shape[-1]) if n else a.reshape(1, 1)
-    kinds = np.ones(len(m), np.intp)
-    for t in range(2, n):
-        kinds[::math.prod(a.shape[n - t:n - 1])] = t
-    kinds[0] = 0
-    step = max(1, _GRID_ENTRIES // m.shape[1])
-    out.append(
-        chunk
-        for r in range(0, len(m), step)
-        for chunk in _grid_chunks(
-            m[r:r + step], levels[n], heads, head_lengths, kinds[r:r + step]
-        )
-    )
-    out.append("".join(level + "]" for level in reversed(levels[:-1])))
-
-
-# entries written as one grid: scratch stays O(N^2) for an N^3 fusion table
-_GRID_ENTRIES = 1 << 16
-
-
-def _grid_chunks(
-    m: np.ndarray, line: str, heads: np.ndarray, head_lengths: list[int], kinds: np.ndarray
-) -> Iterator[bytes]:
-    """The ASCII text of the rows of the int or complex matrix ``m``, whose
-    entries start on ``line``.  Row ``i`` opens on the head
-    ``heads[kinds[i]]``, NUL-padded on the left from its length in
-    ``head_lengths``.
-
-    The grid is filled from one template row of cells (the commas, and the
-    ``format_complex`` scaffolding of a complex entry); each cell's
-    NUL-padded slots are then filled from a table of the distinct leaf
-    texts.  When these texts all have one width, only the heads hold NULs,
-    and each run of rows of one kind is cut at its head's padding.
-    Otherwise dropping the NULs leaves the text: JSON strings hold none, as
-    they are written through ``encode_basestring_ascii``."""
-    if m.dtype.kind == "c":
-        parts = np.stack([m.imag, m.real], dtype=np.float64)
-        # over the bit patterns, so that 0.0 and -0.0 stay apart
-        bits, slots = np.unique(parts.view(np.int64), return_inverse=True)
-        table = _text_rows(map(float.__repr__, bits.view(np.float64).tolist()))
-        slots = slots.reshape(parts.shape)
-        pieces = ["{" + line + '  "im": "', '",' + line + '  "re": "', '"' + line + "}"]
-        same_width = table.all()
-    elif (low := m.min()) >= 0 and (high := m.max()) < len(_SMALL_INTS):
-        table = _SMALL_INTS[:, :len(str(high))]
-        slots, pieces = [m], ["", ""]
-        same_width = len(str(low)) == len(str(high))
-    else:
-        values, slots = np.unique(m, return_inverse=True)
-        table = _text_rows(map(int.__repr__, values.tolist()))
-        slots, pieces = [slots.reshape(m.shape)], ["", ""]
-        same_width = table.all()
-    cell = "," + line + pieces[0]
-    offsets = []
-    for piece in pieces[1:]:
-        offsets.append(len(cell))
-        cell += "\0" * table.shape[1] + piece
-    rows, cols = m.shape
-    indent = heads.shape[1] - len(line) - 1  # where the first cell starts
-    grid = np.empty((rows, indent + cols * len(cell)), np.uint8)
-    grid[:, indent:] = np.frombuffer((cell * cols).encode(), np.uint8)
-    grid[:, :heads.shape[1]] = heads[kinds]
-    cells = grid[:, indent:].reshape(rows, cols, len(cell))  # a view
-    for offset, index in zip(offsets, slots):
-        cells[:, :, offset:offset + table.shape[1]] = table[index]
-    if not same_width:
-        yield grid[grid != 0].tobytes()
-        return
-    starts = np.flatnonzero(np.diff(kinds, prepend=-1))
-    for start, stop in zip(starts.tolist(), [*starts[1:].tolist(), rows]):
-        yield grid[start:stop, heads.shape[1] - head_lengths[kinds[start]]:].tobytes()
 
 
 def _write_output(chunks: Iterable[bytes], output: str | None) -> None:
@@ -376,11 +210,12 @@ def _render_report(report: ValidationReport, fmt: str) -> str:
 
 
 def render_fusion_table(fusion: FusionTensor, labels) -> str:
-    """One line per unordered module pair: ``a x b = m1 + 2*m2 + ...``."""
-    n = fusion.rank
+    """One line per unordered module pair: ``a x b = m1 + 2*m2 + ...``,
+    negative coefficients included (``-1*m``)."""
+    n = len(labels)
     terms = [[[] for _ in range(n)] for _ in range(n)]
     for i, j, m, mult in _nonzero_entries(fusion.table):
-        if j >= i and mult > 0:
+        if j >= i:
             terms[i][j].append(labels[m] if mult == 1 else f"{mult}*{labels[m]}")
     lines = [
         f"{labels[i]} x {labels[j]} = " + (" + ".join(terms[i][j]) or "0")
@@ -471,7 +306,7 @@ def fusion(input_path, eps, eps_int, fmt):
     else:
         click.echo(render_fusion_table(tensor, labels), nl=False)
         click.echo(f"max rounding residual: {tensor.residual:.3e}")
-    sys.exit(0 if tensor.residual <= eps_int else 1)
+    sys.exit(0 if report["fusion_integrality"].passed else 1)
 
 
 @main.command()

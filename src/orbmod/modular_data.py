@@ -12,6 +12,10 @@ symmetry, positivity of the vacuum row, charge conjugation, the modular
 relation ``(S T)^3 = S^2``, and integrality of the Verlinde fusion
 coefficients), the diagonal T-matrix, Verlinde fusion, and quantum/global
 dimensions.
+
+It also holds the package's one JSON codec: the parse side of the schemas
+(:func:`parse_modular_datum` and the helpers :mod:`orbmod.restricted`
+reuses) and the encoder :func:`_dump_json`.
 """
 
 from __future__ import annotations
@@ -21,9 +25,12 @@ import json
 import math
 import os
 import re
+import resource
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 import numpy as np
@@ -188,10 +195,6 @@ class FusionTensor:
             raise ValueError("a fusion tensor without a table needs its smallest coefficient")
         object.__setattr__(self, "residual", float(self.residual))
         object.__setattr__(self, "smallest", float(self.smallest))
-
-    @property
-    def rank(self) -> int:
-        return self.table.shape[0]
 
 
 @dataclass(frozen=True)
@@ -430,12 +433,17 @@ def _flat_s(raw_s: list) -> np.ndarray | None:
 
 def modular_datum_to_dict(d: ModularDatum) -> dict:
     """Serialize a datum back to the documented JSON structure."""
-    return _with_s_entries(_datum_document(d))
+    return _plain(_datum_document(d))
+
+
+def _plain(doc: dict) -> dict:
+    """The JSON value of the bytes that :func:`_dump_json` writes."""
+    return json.loads(b"".join(_dump_json(doc)))
 
 
 def _datum_document(d: ModularDatum) -> dict:
     """:func:`modular_datum_to_dict` with ``"S"`` still the complex array,
-    which the CLI's JSON encoder writes as the same text."""
+    as :func:`_dump_json` writes it."""
     return {
         "central_charge": _rational_text(d.central_charge, "central_charge"),
         "modules": [
@@ -446,11 +454,172 @@ def _datum_document(d: ModularDatum) -> dict:
     }
 
 
-def _with_s_entries(doc: dict) -> dict:
-    """``doc`` with its complex array ``"S"`` replaced by the rows of
-    :func:`format_complex` entries."""
-    doc["S"] = [[format_complex(z) for z in row] for row in doc["S"].tolist()]
-    return doc
+def _text_rows(texts) -> np.ndarray:
+    """The ASCII ``texts`` as the rows of a uint8 matrix, NUL-padded to the
+    longest."""
+    a = np.array(list(texts), dtype=bytes)
+    return a.view(np.uint8).reshape(len(a), a.itemsize)
+
+
+# fusion tables hold small ints: their texts, looked up by value
+_SMALL_INTS = _text_rows(map(str, range(1024)))
+
+
+def _dump_json(doc: dict) -> Iterator[bytes]:
+    """The ASCII bytes of ``json.dumps(doc, indent=2, sort_keys=True) +
+    "\\n"``, byte for byte, for any document whose dict keys are strings,
+    as a stream of chunks to be written in order: every CLI output, and
+    (through :func:`_plain`) the ``*_to_dict`` writers of S-matrices.
+
+    With ``indent`` set, CPython's ``json`` leaves its C encoder for a
+    pure-Python one that yields one chunk per token (over a million for a
+    6.9 MB fusion table).  This encoder collects the text of ``doc``'s
+    parts, and yields each run of it between two arrays as one chunk.
+
+    An ``np.ndarray`` of int or complex dtype may stand anywhere in
+    ``doc``.  It is written as its ``.tolist()`` would be, except that each
+    complex entry ``z`` is written as its ``format_complex(z)`` dict.  Its
+    text is built by numpy as byte grids of up to ``_GRID_ENTRIES`` entries
+    (see :func:`_grid_chunks`) when its chunks are reached, so S-matrices
+    and fusion tables need no per-entry Python objects, and no text of the
+    whole document is ever held."""
+    parts: list = []  # texts, and the lazy chunks of each array
+    _encode(doc, "\n", parts)
+    parts.append("\n")
+    texts: list[str] = []
+    for part in parts:
+        if isinstance(part, str):
+            texts.append(part)
+            continue
+        yield "".join(texts).encode("ascii")
+        texts.clear()
+        yield from part
+    yield "".join(texts).encode("ascii")
+
+
+def _encode(o, newline: str, out: list) -> None:
+    # appends the text of ``o`` to ``out``, an array's as an iterator of
+    # byte chunks; ``newline`` is "\n" plus the indent of the line ``o``
+    # starts on
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif isinstance(o, np.ndarray):
+        _encode_array(o, newline, out)
+    elif type(o) is int:  # not bool
+        out.append(int.__repr__(o))
+    elif not isinstance(o, (dict, list, tuple)):
+        out.append(json.dumps(o))  # float, bool and None, spelled as json does
+    elif not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+    else:
+        inner = newline + "  "
+        if isinstance(o, dict):
+            opener = "{" + inner
+            for k, v in sorted(o.items()):
+                out.append(opener + encode_basestring_ascii(k) + ": ")
+                opener = "," + inner
+                _encode(v, inner, out)
+            out.append(newline + "}")
+        else:
+            opener = "[" + inner
+            for v in o:
+                out.append(opener)
+                opener = "," + inner
+                _encode(v, inner, out)
+            out.append(newline + "]")
+
+
+def _encode_array(a: np.ndarray, newline: str, out: list) -> None:
+    """Append the text of an int or complex array, as an iterator over
+    byte grids of at most ``_GRID_ENTRIES`` entries with a row per
+    innermost list."""
+    if a.size == 0 or a.dtype.kind not in "iuc":
+        return _encode(a.tolist(), newline, out)
+    n = a.ndim
+    levels = [newline + "  " * d for d in range(n + 1)]  # the lines lists open on
+    sep = "," + levels[n]  # before each entry but the first of its row
+    # heads[t] opens a row where t lists close; heads[0] opens the array
+    heads = ["".join("[" + level for level in levels[1:])] + [
+        "".join(level + "]" for level in reversed(levels[n - t:n]))
+        + "," + levels[n - t] + "".join("[" + level for level in levels[n - t + 1:])
+        for t in range(1, n)
+    ]
+    head_lengths = [len(head) for head in heads]
+    width = max(map(len, [*heads, sep]))  # a 0-d array has no sep
+    # NUL-padded on the left, so a row's text starts where its head does
+    heads = "".join(head.rjust(width, "\0") for head in heads)
+    heads = np.frombuffer(heads.encode(), np.uint8).reshape(-1, width)
+    m = a.reshape(-1, a.shape[-1]) if n else a.reshape(1, 1)
+    kinds = np.ones(len(m), np.intp)
+    for t in range(2, n):
+        kinds[::math.prod(a.shape[n - t:n - 1])] = t
+    kinds[0] = 0
+    step = max(1, _GRID_ENTRIES // m.shape[1])
+    out.append(
+        chunk
+        for r in range(0, len(m), step)
+        for chunk in _grid_chunks(
+            m[r:r + step], levels[n], heads, head_lengths, kinds[r:r + step]
+        )
+    )
+    out.append("".join(level + "]" for level in reversed(levels[:-1])))
+
+
+# entries written as one grid: scratch stays O(N^2) for an N^3 fusion table
+_GRID_ENTRIES = 1 << 16
+
+
+def _grid_chunks(
+    m: np.ndarray, line: str, heads: np.ndarray, head_lengths: list[int], kinds: np.ndarray
+) -> Iterator[bytes]:
+    """The ASCII text of the rows of the int or complex matrix ``m``, whose
+    entries start on ``line``.  Row ``i`` opens on the head
+    ``heads[kinds[i]]``, NUL-padded on the left from its length in
+    ``head_lengths``.
+
+    The grid is filled from one template row of cells (the commas, and the
+    ``format_complex`` scaffolding of a complex entry); each cell's
+    NUL-padded slots are then filled from a table of the distinct leaf
+    texts.  When these texts all have one width, only the heads hold NULs,
+    and each run of rows of one kind is cut at its head's padding.
+    Otherwise dropping the NULs leaves the text: JSON strings hold none, as
+    they are written through ``encode_basestring_ascii``."""
+    if m.dtype.kind == "c":
+        parts = np.stack([m.imag, m.real], dtype=np.float64)
+        # over the bit patterns, so that 0.0 and -0.0 stay apart
+        bits, slots = np.unique(parts.view(np.int64), return_inverse=True)
+        table = _text_rows(map(float.__repr__, bits.view(np.float64).tolist()))
+        slots = slots.reshape(parts.shape)
+        pieces = ["{" + line + '  "im": "', '",' + line + '  "re": "', '"' + line + "}"]
+        same_width = table.all()
+    elif (low := m.min()) >= 0 and (high := m.max()) < len(_SMALL_INTS):
+        table = _SMALL_INTS[:, :len(str(high))]
+        slots, pieces = [m], ["", ""]
+        same_width = len(str(low)) == len(str(high))
+    else:
+        values, slots = np.unique(m, return_inverse=True)
+        table = _text_rows(map(int.__repr__, values.tolist()))
+        slots, pieces = [slots.reshape(m.shape)], ["", ""]
+        same_width = table.all()
+    cell = "," + line + pieces[0]
+    offsets = []
+    for piece in pieces[1:]:
+        offsets.append(len(cell))
+        cell += "\0" * table.shape[1] + piece
+    rows, cols = m.shape
+    indent = heads.shape[1] - len(line) - 1  # where the first cell starts
+    grid = np.empty((rows, indent + cols * len(cell)), np.uint8)
+    grid[:, indent:] = np.frombuffer((cell * cols).encode(), np.uint8)
+    grid[:, :heads.shape[1]] = heads[kinds]
+    cells = grid[:, indent:].reshape(rows, cols, len(cell))  # a view
+    for offset, index in zip(offsets, slots):
+        cells[:, :, offset:offset + table.shape[1]] = table[index]
+    if not same_width:
+        yield grid[grid != 0].tobytes()
+        return
+    starts = np.flatnonzero(np.diff(kinds, prepend=-1))
+    for start, stop in zip(starts.tolist(), [*starts[1:].tolist(), rows]):
+        yield grid[start:stop, heads.shape[1] - head_lengths[kinds[start]]:].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -533,16 +702,21 @@ def validation_bytes(rank: int, *, keep_fusion: bool = False) -> int:
 
 def _require_memory(rank: int, subject: str, *, keep_fusion: bool = False) -> None:
     """Refuse, before anything is allocated, to validate a datum of this
-    rank when :func:`validation_bytes` exceeds physical memory: raises
-    :class:`InvalidDatum`, whose message names ``subject``."""
+    rank when :func:`validation_bytes` exceeds physical memory, or the soft
+    address-space limit (``ulimit -v``) when that is set and smaller: raises
+    :class:`InvalidDatum`, whose message names ``subject`` and the bound."""
     need = validation_bytes(rank, keep_fusion=keep_fusion)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    bound = "physical memory"
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit != resource.RLIM_INFINITY and limit < have:
+        have, bound = limit, "address space allowed by RLIMIT_AS"
     if need > have:
         # str() refuses ints of more than 4300 digits, which k ~ 10**4 reaches
         count = rank if rank < 10**15 else f"about 10^{math.log10(rank):.0f}"
         raise InvalidDatum(
             f"{subject} has {count} modules; validating it needs more than "
-            f"the {have / 2**30:.3g} GiB of physical memory"
+            f"the {have / 2**30:.3g} GiB of {bound}"
         )
 
 

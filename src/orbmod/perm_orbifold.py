@@ -48,8 +48,8 @@ from .modular_data import (
     Phase,
     ValidationReport,
     _datum_document,
+    _plain,
     _require_memory,
-    _with_s_entries,
     validate_modular_datum,
 )
 from .restricted import CharacterTable, FiniteAbelianGroup, OrbitSpec
@@ -337,8 +337,8 @@ def build_orbifold_datum(
     The input datum must itself pass validation (checked unless
     ``validate_input=False``; failures raise :class:`InvalidDatum`).  An
     orbifold whose :func:`~orbmod.modular_data.validation_bytes` exceed
-    physical memory is refused with :class:`InvalidDatum` before anything
-    is enumerated.  The returned orbifold datum carries its own validation
+    physical memory or ``RLIMIT_AS`` is refused with :class:`InvalidDatum`
+    before anything is enumerated.  The returned orbifold datum carries its own validation
     report; callers decide how to act on a failing report (e.g. retry with
     the flipped convention).
     """
@@ -370,12 +370,12 @@ def _label_fields(label: OrbifoldLabel) -> dict:
 def orbifold_datum_to_dict(od: OrbifoldDatum) -> dict:
     """JSON structure: the plain datum schema extended with ``k``,
     ``convention`` and per-module label-kind fields."""
-    return _with_s_entries(_orbifold_document(od))
+    return _plain(_orbifold_document(od))
 
 
 def _orbifold_document(od: OrbifoldDatum) -> dict:
     """:func:`orbifold_datum_to_dict` with ``"S"`` still the complex array,
-    which the CLI's JSON encoder writes as the same text."""
+    as :func:`orbmod.modular_data._dump_json` writes it."""
     doc = _datum_document(od.datum)
     for entry, label in zip(doc["modules"], od.labels):
         entry.update(_label_fields(label))

@@ -38,7 +38,7 @@ from .modular_data import (
     ValidationReport,
     _json_object,
     _parse_complex,
-    _with_s_entries,
+    _plain,
     format_complex,
 )
 
@@ -437,7 +437,7 @@ def restricted_result_to_dict(
     orbits: Sequence[OrbitSpec],
 ) -> dict:
     """Serialize an assembled restricted S-matrix with its pair labels."""
-    return _with_s_entries(_result_document(pairs, matrix, orbits))
+    return _plain(_result_document(pairs, matrix, orbits))
 
 
 def _result_document(
@@ -446,7 +446,7 @@ def _result_document(
     orbits: Sequence[OrbitSpec],
 ) -> dict:
     """:func:`restricted_result_to_dict` with ``"S"`` still a complex array,
-    which the CLI's JSON encoder writes as the same text."""
+    as :func:`orbmod.modular_data._dump_json` writes it."""
     return {
         "pairs": [
             {"orbit": orbits[i].label, "character": l} for i, l in pairs

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import stat
 import sys
 import threading
@@ -265,6 +266,23 @@ def test_fusion_gate_on_invalid_datum(runner, tmp_path):
     assert result.exit_code == 1
 
 
+def test_fusion_fails_and_prints_negative_coefficients(runner, tmp_path):
+    # row tau of Fibonacci negated: unitary with a positive vacuum row, so
+    # fusion runs, but tau x tau = 1 - tau fails integrality
+    doc = json.loads(fixtures.path("fibonacci").read_text())
+    for entry in doc["S"][1]:
+        entry["re"] = repr(-float(entry["re"]))
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(doc))
+    pretty = runner.invoke(main, ["fusion", str(path)])
+    assert pretty.exit_code == 1
+    assert "tau x tau = 1 + -1*tau\n" in pretty.stdout
+    as_json = runner.invoke(main, ["fusion", "--format", "json", str(path)])
+    assert as_json.exit_code == 1
+    assert json.loads(as_json.stdout)["fusion"][1][1] == [1, -1]
+    assert runner.invoke(main, ["validate", str(path)]).exit_code == 1
+
+
 def test_fusion_reports_undefined_verlinde(runner, tmp_path):
     result = runner.invoke(main, ["fusion", "--eps", "1e-14", write_near_zero_vacuum(tmp_path)])
     assert result.exit_code == 1
@@ -527,12 +545,12 @@ def file_bytes(chunks, path):
 )
 @pytest.mark.parametrize("grid_entries", [7, 1 << 16])
 def test_every_sink_gets_the_same_json_bytes(table, grid_entries, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_GRID_ENTRIES", grid_entries)
+    monkeypatch.setattr(modular_data, "_GRID_ENTRIES", grid_entries)
     doc = {"labels": ["a", "b"], "fusion": table, "residual": 1e-15}
     expected = (json.dumps({**doc, "fusion": table.tolist()}, indent=2, sort_keys=True) + "\n").encode()
-    assert pipe_bytes(cli._dump_json(doc), monkeypatch) == expected
-    assert text_stdout_bytes(cli._dump_json(doc), monkeypatch) == expected
-    assert file_bytes(cli._dump_json(doc), tmp_path / "out.json") == expected
+    assert pipe_bytes(modular_data._dump_json(doc), monkeypatch) == expected
+    assert text_stdout_bytes(modular_data._dump_json(doc), monkeypatch) == expected
+    assert file_bytes(modular_data._dump_json(doc), tmp_path / "out.json") == expected
 
 
 def test_perm_output_file_keeps_its_summary_on_stdout(runner, tmp_path):
@@ -652,6 +670,20 @@ def test_fusion_alone_needs_memory_for_its_table(runner, monkeypatch):
     result = runner.invoke(main, ["fusion", ising_path()])
     assert result.exit_code == 2
     assert result.stderr.startswith(f"error: {ising_path()} has 3 modules; validating it needs")
+
+
+def test_fusion_refuses_a_table_beyond_the_address_space_limit(runner, monkeypatch):
+    # ulimit -v below what the 3^3 table needs, far below physical memory
+    limit = modular_data.validation_bytes(3, keep_fusion=True) - 1
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (limit, resource.RLIM_INFINITY))
+    result = runner.invoke(main, ["fusion", ising_path()])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == (
+        f"error: {ising_path()} has 3 modules; validating it needs more than the "
+        f"{limit / 2**30:.3g} GiB of address space allowed by RLIMIT_AS\n"
+    )
+    assert runner.invoke(main, ["check", ising_path()]).exit_code == 0
 
 
 # ---------------------------------------------------------------------------

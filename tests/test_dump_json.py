@@ -1,9 +1,10 @@
-"""The JSON encoder behind every CLI output writes exactly the bytes of
+"""The JSON encoder behind every CLI output and dict writer writes exactly the bytes of
 ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, which is kept here as
 the reference."""
 
 import json
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,11 +12,20 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from orbmod import cli, fixtures
-from orbmod.cli import _dump_json, main
-from orbmod.modular_data import format_complex
-from orbmod.perm_orbifold import permutation_restriction_data
-from orbmod.restricted import restricted_spec_to_dict
+from orbmod import fixtures, modular_data
+from orbmod.cli import main
+from orbmod.modular_data import _dump_json, format_complex
+from orbmod.modular_data import ModularDatum, ModuleInfo, modular_datum_to_dict
+from orbmod.perm_orbifold import (
+    build_orbifold_datum,
+    orbifold_datum_to_dict,
+    permutation_restriction_data,
+)
+from orbmod.restricted import (
+    assemble_restricted_S,
+    restricted_result_to_dict,
+    restricted_spec_to_dict,
+)
 
 
 def reference(doc) -> str:
@@ -133,7 +143,7 @@ def test_dump_json_writes_wide_arrays_as_their_plain_lists(arrays):
 @pytest.mark.parametrize("entries", [1, 5, 16])
 def test_dump_json_splits_arrays_into_grids_anywhere(entries, monkeypatch):
     # a grid may end inside a matrix or span two, and has its own leaf table
-    monkeypatch.setattr(cli, "_GRID_ENTRIES", entries)
+    monkeypatch.setattr(modular_data, "_GRID_ENTRIES", entries)
     doc = {
         "ints": np.arange(24).reshape(2, 3, 4) * 47 - 100,
         "4d": np.array([0, 9, 10, 99, 100, 1023, 1024, 5] * 2).reshape(2, 2, 2, 2),
@@ -148,7 +158,7 @@ def test_dump_json_splits_arrays_into_grids_anywhere(entries, monkeypatch):
 def test_dump_json_cuts_same_width_grids_at_their_heads(entries, monkeypatch):
     # every leaf of each array has one width, so no cell holds a NUL and the
     # grids are cut at the padding of their row heads
-    monkeypatch.setattr(cli, "_GRID_ENTRIES", entries)
+    monkeypatch.setattr(modular_data, "_GRID_ENTRIES", entries)
     doc = {
         "one digit": np.arange(3 * 4 * 5).reshape(3, 4, 5) % 10,
         "three digits": (np.arange(16) + 100).reshape(2, 2, 2, 2),
@@ -224,3 +234,43 @@ def test_large_cli_json_outputs_keep_the_indented_layout(tmp_path):
     assert len(json.loads(outputs["fusion"])["fusion"]) == 35
     for name, text in outputs.items():
         assert text == reference(json.loads(text)), name
+
+
+def u1_4() -> ModularDatum:
+    """The pointed U(1)_4 datum: complex S with charge conjugation a -> -a."""
+    a = np.arange(4)
+    s = np.exp(-2j * np.pi * np.outer(a, a) / 4) / 2
+    return ModularDatum(1, [ModuleInfo(f"q{x}", Fraction(x * x, 8)) for x in a], s)
+
+
+def parse_plain(text: str) -> dict:
+    """The datum schema's keys of a written datum."""
+    doc = json.loads(text)
+    return {
+        "central_charge": doc["central_charge"],
+        "modules": [{"label": m["label"], "h": m["h"]} for m in doc["modules"]],
+        "S": doc["S"],
+    }
+
+
+@pytest.mark.parametrize(
+    "name, k", [("ising", 2), ("ising", 3), ("u1_4", 2)], ids=["ising-2", "ising-3", "u1_4-2"]
+)
+def test_dict_writers_return_the_json_of_the_cli_output(name, k, tmp_path):
+    d = u1_4() if name == "u1_4" else fixtures.load(name)
+    src, out = tmp_path / "src.json", tmp_path / "orb.json"
+    src.write_text(json.dumps(modular_datum_to_dict(d)))
+    _invoke(["perm", "--k", str(k), str(src), "-o", str(out)])
+    orb = build_orbifold_datum(d, k)
+    assert orbifold_datum_to_dict(orb) == json.loads(out.read_text())
+    assert modular_datum_to_dict(orb.datum) == parse_plain(out.read_text())
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_restricted_dict_writer_returns_the_json_of_the_cli_output(k, tmp_path):
+    orbits, blocks, group = permutation_restriction_data(fixtures.load("ising"), k)
+    spec, out = tmp_path / "spec.json", tmp_path / "restricted.json"
+    spec.write_text(json.dumps(restricted_spec_to_dict(orbits, blocks, group)))
+    _invoke(["restricted", str(spec), "-o", str(out)])
+    pairs, matrix = assemble_restricted_S(orbits, blocks, group)
+    assert restricted_result_to_dict(pairs, matrix, orbits) == json.loads(out.read_text())

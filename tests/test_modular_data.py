@@ -314,6 +314,26 @@ def test_serialization_round_trip(ising):
     assert np.array_equal(back.s_matrix, ising.s_matrix)
 
 
+# finite parts, the edges of the float range among them
+finite_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.builds(complex, finite_parts, finite_parts), min_size=n * n, max_size=n * n)
+))
+@example([complex(-0.0, 5e-324), complex(1e308, -1e308), complex(-5e-324, 0.0), complex(0.0, -0.0)])
+def test_written_s_parses_to_the_same_bits(entries):
+    n = int(len(entries) ** 0.5)
+    s = np.array(entries, dtype=complex).reshape(n, n)
+    d = ModularDatum(0, [ModuleInfo(f"m{i}", 0 if i == 0 else Fraction(i, 7)) for i in range(n)], s)
+    text = b"".join(modular_data._dump_json(modular_data._datum_document(d))).decode("ascii")
+    assert parse_modular_datum(text).s_matrix.tobytes() == s.tobytes()
+
+
 def test_s_matrix_is_read_only(ising):
     with pytest.raises(ValueError):
         ising.s_matrix[0, 0] = 0.0
@@ -589,6 +609,17 @@ def test_streamed_fusion_keeps_no_table():
     assert streamed.table is None
     assert streamed.residual == kept.residual
     assert streamed.smallest == kept.smallest == kept.table.min() == 0
+
+
+def test_streamed_fusion_has_every_public_attribute():
+    streamed = verlinde_fusion(family_datum("su2_3", 2), keep_table=False)
+    names = [name for name in dir(streamed) if not name.startswith("_")]
+    assert names == ["residual", "smallest", "table"]
+    assert {name: getattr(streamed, name) for name in names} == {
+        "residual": streamed.residual,
+        "smallest": 0.0,
+        "table": None,
+    }
 
 
 def test_validation_streams_verlinde_in_small_memory():

@@ -1,5 +1,6 @@
 import itertools
 import os
+import resource
 from fractions import Fraction
 
 import numpy as np
@@ -347,6 +348,9 @@ def test_build_refuses_an_orbifold_larger_than_memory(ising, monkeypatch, valida
     monkeypatch.setattr(perm_orbifold, "validate_modular_datum", no_enumeration)
     pages = {"SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 2**12}  # 8 GiB
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    # physical memory is the bound, whatever ulimit -v the tests run under
+    unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
+    monkeypatch.setattr(resource, "getrlimit", lambda which: unlimited)
     with pytest.raises(InvalidDatum) as refused:
         build_orbifold_datum(ising, 13, validate_input=validate_input)
     assert str(refused.value) == (
