@@ -37,7 +37,11 @@ from .modular_data import (
     t_matrix,
     validate_modular_datum,
 )
-from .perm_orbifold import _orbifold_document, build_orbifold_datum, module_count
+from .perm_orbifold import (
+    _orbifold_document,
+    _require_orbifold_memory,
+    build_orbifold_datum,
+)
 from .restricted import (
     _result_document,
     assemble_restricted_S,
@@ -363,7 +367,10 @@ def perm(input_path, k, output, convention, eps, eps_int):
     if not is_prime(k):
         _fail_input(f"k must be prime, got {k}")
     datum = _load_datum(input_path)
-    _check_memory(module_count(datum.rank, k), f"the k={k} orbifold of {input_path}")
+    try:
+        _require_orbifold_memory(datum.rank, k, f"the k={k} orbifold of {input_path}")
+    except InvalidDatum as exc:
+        _fail_input(str(exc))
     in_report = validate_modular_datum(datum, eps, eps_int)
     if not in_report.ok:
         for c in in_report.failures():

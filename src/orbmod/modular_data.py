@@ -628,12 +628,34 @@ def _grid_chunks(
 
 def t_matrix(d: ModularDatum) -> tuple[Phase, ...]:
     """Diagonal of the T-matrix: ``Phase(h_i - c/24 mod 1)`` per module."""
-    c24 = d.central_charge / 24
-    return tuple(Phase(m.weight - c24) for m in d.modules)
+    return tuple(Phase(Fraction(num, den)) for num, den in _t_angles(d))
+
+
+def _t_angles(d: ModularDatum) -> list[tuple[int, int]]:
+    """The angles ``h_i - c/24`` of the T-phases as integer pairs
+    ``(num, den)``, not reduced, with ``den = lcm(h_i.denominator,
+    24 c.denominator)`` per module: one denominator for all modules
+    could have the digits of all of theirs."""
+    c = d.central_charge
+    c_num, c_den = c.numerator, 24 * c.denominator
+    angles = []
+    for h in d.weights:
+        den = math.lcm(h.denominator, c_den)
+        angles.append((h.numerator * (den // h.denominator) - c_num * (den // c_den), den))
+    return angles
+
+
+def _phase(num: int, den: int) -> complex:
+    """``exp(2 pi i num/den)`` for integers ``num`` and ``den > 0``, bit for
+    bit ``Phase(Fraction(num, den)).value``: ``float`` of a ``Fraction`` is
+    the int true division of its reduced terms, which is correctly rounded,
+    so any pair of terms of the same rational in ``[0, 1)`` gives its
+    double."""
+    return cmath.exp(2j * cmath.pi * ((num % den) / den))
 
 
 def _t_array(d: ModularDatum) -> np.ndarray:
-    return np.array([p.value for p in t_matrix(d)])
+    return np.array([_phase(num, den) for num, den in _t_angles(d)])
 
 
 def verlinde_fusion(d: ModularDatum, *, keep_table: bool = True) -> FusionTensor:
@@ -702,22 +724,46 @@ def validation_bytes(rank: int, *, keep_fusion: bool = False) -> int:
 
 def _require_memory(rank: int, subject: str, *, keep_fusion: bool = False) -> None:
     """Refuse, before anything is allocated, to validate a datum of this
-    rank when :func:`validation_bytes` exceeds physical memory, or the soft
-    address-space limit (``ulimit -v``) when that is set and smaller: raises
+    rank when :func:`validation_bytes` exceed physical memory, or what the
+    soft address-space limit (``ulimit -v``) leaves beside the address
+    space the process already maps, when that is set and smaller: raises
     :class:`InvalidDatum`, whose message names ``subject`` and the bound."""
-    need = validation_bytes(rank, keep_fusion=keep_fusion)
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    bound = "physical memory"
-    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
-    if limit != resource.RLIM_INFINITY and limit < have:
-        have, bound = limit, "address space allowed by RLIMIT_AS"
-    if need > have:
+    have, taken, bound = _memory_bound()
+    if validation_bytes(rank, keep_fusion=keep_fusion) + taken > have:
         # str() refuses ints of more than 4300 digits, which k ~ 10**4 reaches
         count = rank if rank < 10**15 else f"about 10^{math.log10(rank):.0f}"
-        raise InvalidDatum(
-            f"{subject} has {count} modules; validating it needs more than "
-            f"the {have / 2**30:.3g} GiB of {bound}"
-        )
+        raise _memory_refusal(subject, count, have, bound)
+
+
+def _memory_bound() -> tuple[int, int, str]:
+    """The bytes that bound a validation, the bytes of them already taken,
+    and their name: physical memory, or the soft ``RLIMIT_AS`` when that
+    is set and leaves less room.  The virtual size of the process counts
+    against the limit (the interpreter, numpy and BLAS map some hundred
+    MB); it is read from ``/proc/self/statm``, and taken as 0 where that
+    cannot be read."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit != resource.RLIM_INFINITY:
+        taken = _mapped_bytes()
+        if limit - taken < have:
+            return limit, taken, "address space allowed by RLIMIT_AS"
+    return have, 0, "physical memory"
+
+
+def _mapped_bytes() -> int:
+    try:
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[0]) * resource.getpagesize()
+    except (OSError, ValueError, IndexError):
+        return 0
+
+
+def _memory_refusal(subject: str, count, have: int, bound: str) -> InvalidDatum:
+    return InvalidDatum(
+        f"{subject} has {count} modules; validating it needs more than "
+        f"the {have / 2**30:.3g} GiB of {bound}"
+    )
 
 
 def quantum_dimensions(d: ModularDatum) -> tuple[np.ndarray, float]:

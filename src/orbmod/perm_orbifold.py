@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -48,8 +49,12 @@ from .modular_data import (
     Phase,
     ValidationReport,
     _datum_document,
+    _memory_bound,
+    _memory_refusal,
+    _phase,
     _plain,
     _require_memory,
+    _t_angles,
     validate_modular_datum,
 )
 from .restricted import CharacterTable, FiniteAbelianGroup, OrbitSpec
@@ -120,6 +125,24 @@ def module_count(n_modules: int, k: int) -> int:
     return (n_modules**k - n_modules) // k + n_modules * k + n_modules * k * (k - 1)
 
 
+# n**k of more bits makes more than 2**40 orbifold modules for any k (the
+# off-diagonal ones when k < 2**24, else the n k**2 others): over 2**87
+# bytes to validate
+_COUNT_BITS = 64
+
+
+def _require_orbifold_memory(n_modules: int, k: int, subject: str) -> None:
+    """:func:`~orbmod.modular_data._require_memory` for the k orbifold of
+    ``n_modules`` modules.  A count beyond :data:`_COUNT_BITS` is refused
+    from its logarithm: at k ~ 10**7 computing ``n**k`` alone takes seconds,
+    and squaring it for the memory bound, minutes."""
+    if n_modules > 1 and k * math.log2(n_modules) > _COUNT_BITS:
+        have, _, bound = _memory_bound()
+        digits = k * math.log10(n_modules) - math.log10(k)
+        raise _memory_refusal(subject, f"about 10^{digits:.0f}", have, bound)
+    _require_memory(module_count(n_modules, k), subject)
+
+
 def _off_diagonal_tuples(n: int, k: int) -> list[tuple[int, ...]]:
     """Sorted canonical tuples of the off-diagonal orbits: the non-constant
     k-tuples over ``range(n)`` that are their own :func:`canonical_rotation`.
@@ -148,20 +171,6 @@ def orbifold_labels(d: ModularDatum, k: int) -> tuple[OrbifoldLabel, ...]:
     return labels
 
 
-def _weight_mod1(
-    label: OrbifoldLabel, d: ModularDatum, k: int, convention: str
-) -> Fraction:
-    c = d.central_charge
-    h = d.weights
-    if isinstance(label, Diagonal):
-        return (k * h[label.i]) % 1
-    if isinstance(label, OffDiagonal):
-        return sum((h[i] for i in label.indices), Fraction(0)) % 1
-    sign = -1 if convention == "minus" else 1
-    m0 = (sign * label.a * label.r) % k
-    return (h[label.i] / k + (k * k - 1) * c / (24 * k) + Fraction(m0, k)) % 1
-
-
 def enumerate_orbifold_modules(
     d: ModularDatum, k: int, convention: str = "minus"
 ) -> list[tuple[OrbifoldLabel, Fraction]]:
@@ -171,13 +180,33 @@ def enumerate_orbifold_modules(
     ``sum_j h_{i_j}`` for off-diagonal tuples, and
     ``h_i/k + (k^2 - 1) c/(24 k) + m0/k`` for ``Twisted(r, i, a)`` with
     ``m0`` fixed by the eigenvalue-residue convention (see module notes).
+    Each weight is summed on the integer numerators of its terms over the
+    lcm of their denominators, and made a ``Fraction`` once.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    return [
-        (label, _weight_mod1(label, d, k, convention))
-        for label in orbifold_labels(d, k)
-    ]
+    sign = -1 if convention == "minus" else 1
+    h = [(w.numerator, w.denominator) for w in d.weights]
+    # h_i + (k^2 - 1) c/24, the twisted weights times k less m0
+    shift = (k * k - 1) * d.central_charge / 24
+    lifted = []
+    for p, q in h:
+        den = math.lcm(q, shift.denominator)
+        lifted.append((p * (den // q) + shift.numerator * (den // shift.denominator), den))
+    out = []
+    for label in orbifold_labels(d, k):
+        if isinstance(label, Diagonal):
+            p, q = h[label.i]
+            weight = Fraction(k * p % q, q)
+        elif isinstance(label, OffDiagonal):
+            den = math.lcm(*(h[i][1] for i in label.indices))
+            weight = Fraction(sum(h[i][0] * (den // h[i][1]) for i in label.indices) % den, den)
+        else:
+            num, den = lifted[label.i]
+            m0 = (sign * label.a * label.r) % k
+            weight = Fraction((num + m0 * den) % (k * den), k * den)
+        out.append((label, weight))
+    return out
 
 
 def twisted_sector_block(d: ModularDatum, k: int, r: int, s: int) -> np.ndarray:
@@ -192,16 +221,17 @@ def twisted_sector_block(d: ModularDatum, k: int, r: int, s: int) -> np.ndarray:
 
     with ``(a, b, A) = sector_congruence(k, r, s)``.  Requires ``k`` prime
     and ``0 < r, s < k`` (raises ``ValueError`` otherwise).
+
+    The angles of the two phase vectors are ``-a/k`` and ``b/k`` times the
+    T-angles ``h - c/24``, taken as integer numerators over ``k`` times the
+    T-angle denominators, so each phase is bit for bit the ``Phase`` of the
+    exact angle.
     """
     cong = sector_congruence(k, r, s)
     rho_a = rho_of(cong.matrix, d)
-    c = d.central_charge
-    left = np.array(
-        [Phase(cong.a * (-h / k + c / (24 * k))).value for h in d.weights]
-    )
-    right = np.array(
-        [Phase(-cong.b * (-h / k + c / (24 * k))).value for h in d.weights]
-    )
+    angles = _t_angles(d)
+    left = np.array([_phase(-cong.a * num, k * den) for num, den in angles])
+    right = np.array([_phase(cong.b * num, k * den) for num, den in angles])
     return left[:, None] * (d.s_matrix @ rho_a) * right[None, :]
 
 
@@ -344,7 +374,7 @@ def build_orbifold_datum(
     """
     if not is_prime(k):
         raise ValueError(f"k must be prime, got {k}")
-    _require_memory(module_count(d.rank, k), f"the k={k} orbifold")
+    _require_orbifold_memory(d.rank, k, f"the k={k} orbifold")
     labelled = enumerate_orbifold_modules(d, k, convention)  # checks convention
     if validate_input:
         in_report = validate_modular_datum(d, eps, eps_int)
@@ -403,7 +433,7 @@ def permutation_restriction_data(
     full_table = CharacterTable(
         elems,
         np.array(
-            [[Phase(Fraction(-a * g, k)).value for (g,) in elems] for a in range(k)],
+            [[_phase(-a * g, k) for (g,) in elems] for a in range(k)],
             dtype=complex,
         ),
         (1,) * k,

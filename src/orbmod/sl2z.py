@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .modular_data import ModularDatum, Phase, t_matrix
+from .modular_data import ModularDatum, _phase, _t_angles
 
 __all__ = [
     "SL2Matrix",
@@ -29,7 +29,8 @@ __all__ = [
     "is_prime",
 ]
 
-_TOKEN_RE = re.compile(r"^(S|T\^(-?\d+))$")
+# the canonical T token; "S" tokens are matched before it
+_T_TOKEN = re.compile(r"T\^-?[1-9][0-9]*")
 
 
 @dataclass(frozen=True)
@@ -67,17 +68,14 @@ T_GEN = SL2Matrix(1, 1, 0, 1)
 IDENTITY = SL2Matrix(1, 0, 0, 1)
 
 
-def _t_power(n: int) -> SL2Matrix:
-    return SL2Matrix(1, n, 0, 1)
-
-
 @dataclass(frozen=True)
 class GeneratorWord:
     """A word in the generators: tokens ``"S"`` or ``"T^n"`` (``n != 0``).
 
-    Adjacent T tokens are forbidden (they must be merged), so the printed
-    form is canonical for the token sequence it stores.  The empty word is
-    the identity.
+    ``n`` is written in ASCII decimal digits with no leading zero or plus
+    sign, and adjacent T tokens are forbidden (they must be merged), so the
+    printed form is canonical for the token sequence it stores.  The empty
+    word is the identity.
     """
 
     tokens: tuple[str, ...] = ()
@@ -86,17 +84,14 @@ class GeneratorWord:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         prev_t = False
         for tok in self.tokens:
-            m = _TOKEN_RE.match(tok)
-            if not m:
-                raise ValueError(f"bad generator token {tok!r}")
-            if m.group(2) is not None:
-                if int(m.group(2)) == 0:
-                    raise ValueError("T^0 tokens are not allowed")
-                if prev_t:
-                    raise ValueError("adjacent T tokens must be merged")
-                prev_t = True
-            else:
+            if tok == "S":
                 prev_t = False
+                continue
+            if not _T_TOKEN.fullmatch(tok):
+                raise ValueError(f"bad generator token {tok!r}")
+            if prev_t:
+                raise ValueError("adjacent T tokens must be merged")
+            prev_t = True
 
     def __iter__(self):
         return iter(self.tokens)
@@ -108,20 +103,23 @@ class GeneratorWord:
         return " ".join(self.tokens) if self.tokens else "<empty>"
 
 
-def _token_exponent(token: str) -> int | None:
-    """T-exponent of a token, or None for the S generator."""
-    return None if token == "S" else int(token[2:])
-
-
 def evaluate_word(word: GeneratorWord | Iterable[str]) -> SL2Matrix:
-    """Exact integer product of the generator matrices in word order."""
+    """Exact integer product of the generator matrices in word order.
+
+    The product is folded on the four entries as plain ints, and made an
+    :class:`SL2Matrix` once: a product of determinant-one matrices has
+    determinant one."""
     if not isinstance(word, GeneratorWord):
         word = GeneratorWord(tuple(word))
-    out = IDENTITY
+    a, b, c, d = 1, 0, 0, 1
     for tok in word:
-        n = _token_exponent(tok)
-        out = out @ (S_GEN if n is None else _t_power(n))
-    return out
+        if tok == "S":  # times (0, -1; 1, 0)
+            a, b, c, d = b, -a, d, -c
+        else:  # times (1, n; 0, 1)
+            n = int(tok[2:])
+            b += a * n
+            d += c * n
+    return SL2Matrix(a, b, c, d)
 
 
 def decompose_to_generators(m: SL2Matrix) -> GeneratorWord:
@@ -174,15 +172,19 @@ def rho_of(m: SL2Matrix, d: ModularDatum) -> np.ndarray:
     The result is the matrix product of ``rho`` over any factorization of
     ``m`` into generators; on a validated datum ``rho`` is a genuine
     representation, so the value does not depend on the chosen word.
+
+    ``rho(T^n)`` is the diagonal of phases of the angles ``n (h_i - c/24)``,
+    each taken as an integer numerator over the T-angle's denominator, so
+    it is bit for bit the ``Phase`` of the exact angle.
     """
-    t_angles = [p.angle for p in t_matrix(d)]
+    angles = _t_angles(d)
     out = np.eye(d.rank, dtype=complex)
     for tok in decompose_to_generators(m):
-        n = _token_exponent(tok)
-        if n is None:
+        if tok == "S":
             out = out @ d.s_matrix
         else:
-            out = out * np.array([Phase(n * ang).value for ang in t_angles])
+            n = int(tok[2:])
+            out = out * np.array([_phase(n * num, den) for num, den in angles])
     return out
 
 

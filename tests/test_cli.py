@@ -632,6 +632,19 @@ def test_perm_refuses_orbifold_larger_than_memory(runner, monkeypatch, k, count)
     assert result.stderr.startswith(f"error: the k={k} orbifold of {ising_path()} has {count} modules;")
 
 
+def test_perm_refuses_a_huge_prime_k_at_once(runner):
+    started = time.perf_counter()
+    result = runner.invoke(main, ["perm", "--k", "1000000007", ising_path()])
+    assert time.perf_counter() - started < 1
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(
+        f"error: the k=1000000007 orbifold of {ising_path()} has about 10^477121249 modules;"
+    )
+
+
 @pytest.mark.parametrize(
     "command,subject",
     [
@@ -673,9 +686,11 @@ def test_fusion_alone_needs_memory_for_its_table(runner, monkeypatch):
 
 
 def test_fusion_refuses_a_table_beyond_the_address_space_limit(runner, monkeypatch):
-    # ulimit -v below what the 3^3 table needs, far below physical memory
+    # ulimit -v below what the 3^3 table needs, far below physical memory,
+    # in a process that maps nothing else
     limit = modular_data.validation_bytes(3, keep_fusion=True) - 1
     monkeypatch.setattr(resource, "getrlimit", lambda which: (limit, resource.RLIM_INFINITY))
+    monkeypatch.setattr(modular_data, "_mapped_bytes", lambda: 0)
     result = runner.invoke(main, ["fusion", ising_path()])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
@@ -684,6 +699,28 @@ def test_fusion_refuses_a_table_beyond_the_address_space_limit(runner, monkeypat
         f"{limit / 2**30:.3g} GiB of address space allowed by RLIMIT_AS\n"
     )
     assert runner.invoke(main, ["check", ising_path()]).exit_code == 0
+
+
+def test_address_space_limit_counts_what_the_process_maps(runner, monkeypatch):
+    # the 3^3 table fits under the limit, but not beside what is mapped
+    need = modular_data.validation_bytes(3, keep_fusion=True)
+    limit = need + 4096
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (limit, resource.RLIM_INFINITY))
+    monkeypatch.setattr(modular_data, "_mapped_bytes", lambda: 4096)
+    assert runner.invoke(main, ["fusion", ising_path()]).exit_code == 0
+    monkeypatch.setattr(modular_data, "_mapped_bytes", lambda: 4097)
+    result = runner.invoke(main, ["fusion", ising_path()])
+    assert result.exit_code == 2
+    assert result.stderr == (
+        f"error: {ising_path()} has 3 modules; validating it needs more than the "
+        f"{limit / 2**30:.3g} GiB of address space allowed by RLIMIT_AS\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="no /proc/self/statm")
+def test_mapped_bytes_reads_the_virtual_size():
+    # a process that imported numpy maps tens of MB at least
+    assert modular_data._mapped_bytes() > 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,6 @@ documents = st.recursive(
 )
 
 
-@settings(deadline=None)
 @given(documents)
 def test_dump_json_matches_indented_json_dumps(doc):
     assert dump(doc) == reference(doc)
@@ -89,7 +88,6 @@ def plain(o):
     return format_complex(o) if isinstance(o, complex) else o
 
 
-@settings(deadline=None)
 @given(array_documents)
 def test_dump_json_writes_arrays_as_their_plain_lists(doc):
     assert dump(doc) == reference(plain(doc))
@@ -126,7 +124,7 @@ wide_complex_arrays = hnp.arrays(
 ).map(lambda bits: bits.view(np.complex128)[..., 0])
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(st.lists(st.one_of(wide_int_arrays, wide_complex_arrays), min_size=1, max_size=3))
 @example([np.array([[[9, 0]], [[1023, 10]], [[1024, 5]], [[-1, 99]], [[100, 2**63 - 1]]])])
 @example([np.array([[0, 9], [10, 1000]]).reshape(2, 2, 1)])

@@ -31,6 +31,8 @@ from orbmod.modular_data import (
 )
 from orbmod.perm_orbifold import build_orbifold_datum
 
+from conftest import rational_data
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 MINIMAL = {
@@ -278,7 +280,6 @@ def s_document(rows):
     }
 
 
-@settings(deadline=None)
 @given(s_documents())
 @example(s_document([[("-0.0", "0.0"), ("0", "-0.0")], [("0", "-0.0"), ("0.0", "0")]]))
 @example(s_document([[("0", -0.0), (0, "-0.0")], [(-0.0, 0), ("0.0", 0.0)]]))
@@ -321,7 +322,7 @@ finite_parts = st.one_of(
 )
 
 
-@settings(deadline=None, max_examples=50)
+@settings(max_examples=50)
 @given(st.integers(1, 5).flatmap(
     lambda n: st.lists(st.builds(complex, finite_parts, finite_parts), min_size=n * n, max_size=n * n)
 ))
@@ -417,6 +418,22 @@ def test_phase_arithmetic():
     assert Phase(Fraction(4, 3)) == Phase(Fraction(1, 3))
     assert Phase(Fraction(-1, 4)).angle == Fraction(3, 4)
     assert Phase(Fraction(1, 2)).value == pytest.approx(-1 + 0j)
+
+
+@given(rational_data)
+def test_t_phases_on_integers_are_the_exact_phases(d):
+    # the reference: the angle h - c/24 as a Fraction, then its Phase
+    angles = [h - d.central_charge / 24 for h in d.weights]
+    assert [p.angle for p in t_matrix(d)] == [a % 1 for a in angles]
+    expected = np.array([Phase(a).value for a in angles])
+    assert modular_data._t_array(d).tobytes() == expected.tobytes()
+    assert modular_data._t_array(d).tobytes() == np.array([p.value for p in t_matrix(d)]).tobytes()
+
+
+@given(st.integers(-(10**60), 10**60), st.integers(1, 10**50), st.integers(1, 10**6))
+def test_phase_of_unreduced_terms_is_the_phase_of_the_fraction(num, den, scale):
+    got = np.array([modular_data._phase(num * scale, den * scale)])
+    assert got.tobytes() == np.array([Phase(Fraction(num, den)).value]).tobytes()
 
 
 # ---------------------------------------------------------------------------

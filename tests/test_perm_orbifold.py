@@ -32,6 +32,9 @@ from orbmod.perm_orbifold import (
     permutation_restriction_data,
     twisted_sector_block,
 )
+from orbmod.sl2z import rho_of, sector_congruence
+
+from conftest import rational_data
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +170,24 @@ def test_weight_convention_flip_only_moves_twisted(fibonacci):
             assert w_m == w_p
 
 
+def weight_by_fractions(label, d, k, convention):
+    """The weight mod 1 of a label, summed in Fractions."""
+    h, c = d.weights, d.central_charge
+    if isinstance(label, Diagonal):
+        return (k * h[label.i]) % 1
+    if isinstance(label, OffDiagonal):
+        return sum((h[i] for i in label.indices), Fraction(0)) % 1
+    m0 = ((-1 if convention == "minus" else 1) * label.a * label.r) % k
+    return (h[label.i] / k + (k * k - 1) * c / (24 * k) + Fraction(m0, k)) % 1
+
+
+@given(rational_data, st.sampled_from([2, 3, 5]), st.sampled_from(["minus", "plus"]))
+def test_weights_on_integers_are_the_fraction_sums(d, k, convention):
+    for label, weight in enumerate_orbifold_modules(d, k, convention):
+        assert type(weight) is Fraction
+        assert weight == weight_by_fractions(label, d, k, convention)
+
+
 def test_bad_convention_rejected(ising):
     with pytest.raises(ValueError, match="convention"):
         enumerate_orbifold_modules(ising, 2, "signed")
@@ -191,6 +212,27 @@ def test_twisted_block_preconditions(ising):
         twisted_sector_block(ising, 2, 1, 2)
     with pytest.raises(ValueError, match="prime"):
         twisted_sector_block(ising, 4, 1, 1)
+
+
+@given(rational_data, st.sampled_from([(2, 1, 1), (3, 1, 2), (3, 2, 2), (5, 2, 4), (5, 4, 3)]))
+def test_twisted_block_phases_are_the_exact_phases(d, krs):
+    k, r, s = krs
+    a, b, matrix = sector_congruence(k, r, s)
+    c = d.central_charge
+    left = np.array([Phase(a * (-h / k + c / (24 * k))).value for h in d.weights])
+    right = np.array([Phase(-b * (-h / k + c / (24 * k))).value for h in d.weights])
+    expected = left[:, None] * (d.s_matrix @ rho_of(matrix, d)) * right[None, :]
+    assert twisted_sector_block(d, k, r, s).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 7])
+def test_restriction_characters_are_the_exact_phases(holo8, k):
+    orbits, _, _ = permutation_restriction_data(holo8, k)
+    rows = orbits[0].characters.rows
+    expected = np.array(
+        [[Phase(Fraction(-a * g, k)).value for g in range(k)] for a in range(k)]
+    )
+    assert rows.tobytes() == expected.tobytes()
 
 
 def test_twisted_block_mirror_consistency(fibonacci):
@@ -356,6 +398,21 @@ def test_build_refuses_an_orbifold_larger_than_memory(ising, monkeypatch, valida
     assert str(refused.value) == (
         "the k=13 orbifold has 123147 modules; validating it needs more than "
         "the 8 GiB of physical memory"
+    )
+
+
+def test_build_refuses_a_huge_prime_k_from_the_logarithm_of_its_count(ising, monkeypatch):
+    # 3**k alone would take minutes at k ~ 10**9
+    monkeypatch.setattr(perm_orbifold, "module_count", None)
+    pages = {"SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 2**12}  # 8 GiB
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
+    monkeypatch.setattr(resource, "getrlimit", lambda which: unlimited)
+    with pytest.raises(InvalidDatum) as refused:
+        build_orbifold_datum(ising, 1000000007)
+    assert str(refused.value) == (
+        "the k=1000000007 orbifold has about 10^477121249 modules; validating it "
+        "needs more than the 8 GiB of physical memory"
     )
 
 

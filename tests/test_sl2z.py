@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -18,6 +19,8 @@ from orbmod.sl2z import (
     rho_of,
     sector_congruence,
 )
+
+from conftest import rational_data
 
 
 def random_word(rng, max_len, max_exp):
@@ -55,6 +58,39 @@ def test_word_validation():
         GeneratorWord(("U",))
     assert str(GeneratorWord(("S", "T^-2"))) == "S T^-2"
     assert str(GeneratorWord()) == "<empty>"
+
+
+@pytest.mark.parametrize(
+    "token", ["S\n", " S", "T^3\n", "T^\u0663", "T^03", "T^+3", "T^-0", "T^", "s"]
+)
+def test_word_refuses_tokens_that_are_not_canonical(token):
+    with pytest.raises(ValueError, match="bad generator token"):
+        GeneratorWord((token,))
+    with pytest.raises(ValueError, match="bad generator token"):
+        evaluate_word(["S", token])
+
+
+@st.composite
+def words(draw, bound=10**30):
+    """Valid words: S tokens and T powers up to ``bound``, a T never after a T."""
+    tokens = []
+    for n in draw(st.lists(st.integers(-bound, bound), max_size=40)):
+        if n == 0 or (tokens and tokens[-1] != "S"):
+            tokens.append("S")
+        if n:
+            tokens.append(f"T^{n}")
+    return GeneratorWord(tuple(tokens))
+
+
+def generator(token):
+    return S_GEN if token == "S" else SL2Matrix(1, int(token[2:]), 0, 1)
+
+
+@given(words())
+def test_evaluate_word_is_the_product_of_the_generators(word):
+    expected = functools.reduce(SL2Matrix.__matmul__, map(generator, word), IDENTITY)
+    assert evaluate_word(word) == expected
+    assert evaluate_word(word.tokens) == expected
 
 
 def test_sl2matrix_rejects_wrong_determinant():
@@ -148,6 +184,33 @@ def test_rho_matches_independent_factorization(ising):
     for tok in word:
         by_hand = by_hand @ rho_token(tok)
     assert_allclose(rho_of(m, ising), by_hand, atol=1e-9)
+
+
+def rho_by_phases(m, d):
+    """rho_of with each T-phase the Phase of its Fraction angle."""
+    angles = [h - d.central_charge / 24 for h in d.weights]
+    out = np.eye(d.rank, dtype=complex)
+    for tok in decompose_to_generators(m):
+        if tok == "S":
+            out = out @ d.s_matrix
+        else:
+            out = out * np.array([Phase(int(tok[2:]) * a).value for a in angles])
+    return out
+
+
+@given(rational_data, st.integers(-(10**30), 10**30).filter(bool))
+def test_rho_of_a_t_power_is_the_exact_phases(d, n):
+    angles = [h - d.central_charge / 24 for h in d.weights]
+    expected = np.eye(d.rank, dtype=complex) * np.array([Phase(n * a).value for a in angles])
+    assert rho_of(SL2Matrix(1, n, 0, 1), d).tobytes() == expected.tobytes()
+
+
+# small powers: decompose_to_generators takes about q steps for a partial
+# quotient q of the matrix
+@given(rational_data, words(bound=9))
+def test_rho_of_is_bit_identical_to_the_phases_of_fractions(d, word):
+    m = evaluate_word(word)
+    assert rho_of(m, d).tobytes() == rho_by_phases(m, d).tobytes()
 
 
 def test_rho_of_minus_identity_is_charge_conjugation(ising):
