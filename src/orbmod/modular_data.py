@@ -407,24 +407,20 @@ def _flat_s(raw_s: list) -> np.ndarray | None:
     or ``None`` when some entry is not one that :func:`_parse_complex`
     reads as a finite value.
 
-    When every part is a string, each distinct text is converted once and
-    then looked up: S-matrices repeat few values.  Number parts are
-    converted one by one, as a JSON ``0`` and ``-0.0`` are one dict key."""
+    Every part must be a string, as orbmod writes them; a document with
+    number parts takes the per-entry path.  Each distinct text is converted
+    once and then looked up: S-matrices repeat few values."""
     entries = list(chain.from_iterable(raw_s))
     if set(map(type, entries)) != {dict}:
         return None
     try:
         parts = list(chain.from_iterable(map(itemgetter("re", "im"), entries)))
-        kinds = set(map(type, parts))
-        if kinds == {str}:
-            texts = set(parts)
-            values = map(dict(zip(texts, map(float, texts))).__getitem__, parts)
-        elif kinds <= {str, int, float}:
-            values = map(float, parts)
-        else:
+        if set(map(type, parts)) != {str}:
             return None
+        texts = set(parts)
+        values = map(dict(zip(texts, map(float, texts))).__getitem__, parts)
         values = np.fromiter(values, float, len(parts))
-    except (KeyError, ValueError, OverflowError):
+    except (KeyError, ValueError):
         return None
     if not np.isfinite(values).all():
         return None
@@ -842,7 +838,7 @@ def validate_modular_datum(
     detail = "" if is_perm else "rounded S^2 is not a permutation matrix"
     checks.append(CheckResult("charge_conjugation", res <= eps and is_perm, res, detail))
 
-    st = s @ np.diag(_t_array(d))
+    st = s * _t_array(d)  # S T: column j scaled by T_jj
     rel = np.linalg.matrix_power(st, 3)
     res = float(np.max(np.abs(rel - s2)))
     detail = ""

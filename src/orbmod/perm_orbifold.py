@@ -424,10 +424,21 @@ def permutation_restriction_data(
     ordering coincides with :func:`orbifold_labels`, so the assembled matrix
     must match :func:`assemble_orbifold_S` entrywise.  Character rows follow
     the eigencomponent labeling ``chi_a(g) = exp(-2 pi i a g / k)``.
+
+    With ``n = d.rank`` and the tuples ``off`` of
+    :func:`_off_diagonal_tuples`, orbit ``x < n`` is ``diag(x)``, orbit
+    ``n + u`` is ``off(off[u])`` and orbit ``n + len(off) + (r - 1) n + x``
+    is ``tw<r>(x)``.  The blocks come by kind: diagonal x diagonal,
+    diagonal <-> off-diagonal (k transversal elements one way, one the
+    other), off-diagonal x off-diagonal (one per rotation), twisted <->
+    diagonal and twisted x twisted (the entries of
+    :func:`twisted_sector_block`).  Off-diagonal x twisted has an empty
+    transversal and no block.
     """
     n = d.rank
     off = _off_diagonal_tuples(n, k)  # checks k before the group is built
     s = d.s_matrix
+    names = d.labels
     group = FiniteAbelianGroup((k,))
     elems = group.elements()
     full_table = CharacterTable(
@@ -440,55 +451,39 @@ def permutation_restriction_data(
     )
     trivial_table = CharacterTable(((0,),), np.array([[1.0]], dtype=complex), (1,))
 
-    orbits: list[OrbitSpec] = []
-    kinds: list[tuple] = []
-    for i in range(n):
-        orbits.append(OrbitSpec(f"diag({d.labels[i]})", (0,), elems, full_table))
-        kinds.append(("diag", i))
+    orbits = [OrbitSpec(f"diag({x})", (0,), elems, full_table) for x in names]
     for t in off:
-        text = ",".join(_factor_text(d.labels[i]) for i in t)
+        text = ",".join(_factor_text(names[x]) for x in t)
         orbits.append(OrbitSpec(f"off({text})", (0,), ((0,),), trivial_table))
-        kinds.append(("off", t))
-    for r in range(1, k):
-        for i in range(n):
-            orbits.append(OrbitSpec(f"tw{r}({d.labels[i]})", (r,), elems, full_table))
-            kinds.append(("tw", r, i))
+    orbits += [
+        OrbitSpec(f"tw{r}({x})", (r,), elems, full_table) for r in range(1, k) for x in names
+    ]
+    base = n + len(off)
 
-    tw_blocks = {
-        (r, t): twisted_sector_block(d, k, r, t)
-        for r in range(1, k)
-        for t in range(1, k)
-    }
     blocks: dict[tuple[int, int], list[tuple[tuple[int, ...], complex]]] = {}
-    for bi, ki in enumerate(kinds):
-        for bj, kj in enumerate(kinds):
-            if ki[0] == "diag" and kj[0] == "diag":
-                blocks[(bi, bj)] = [((0,), complex(s[ki[1], kj[1]] ** k))]
-            elif ki[0] == "diag" and kj[0] == "off":
-                value = complex(np.prod([s[ki[1], t] for t in kj[1]]))
-                blocks[(bi, bj)] = [((g,), value) for g in range(k)]
-            elif ki[0] == "off" and kj[0] == "diag":
-                value = complex(np.prod([s[t, kj[1]] for t in ki[1]]))
-                blocks[(bi, bj)] = [((0,), value)]
-            elif ki[0] == "off" and kj[0] == "off":
-                blocks[(bi, bj)] = [
-                    (
-                        (rot,),
-                        complex(
-                            np.prod(
-                                [s[ki[1][m], kj[1][(m + rot) % k]] for m in range(k)]
-                            )
-                        ),
-                    )
-                    for rot in range(k)
-                ]
-            elif ki[0] == "tw" and kj[0] == "tw":
-                blocks[(bi, bj)] = [
-                    ((0,), complex(tw_blocks[(ki[1], kj[1])][ki[2], kj[2]]))
-                ]
-            elif ki[0] == "tw" and kj[0] == "diag":
-                blocks[(bi, bj)] = [((0,), complex(s[ki[2], kj[1]]))]
-            elif ki[0] == "diag" and kj[0] == "tw":
-                blocks[(bi, bj)] = [((0,), complex(s[ki[1], kj[2]]))]
-            # off vs twisted: empty transversal, zero block
+    for x in range(n):
+        for y in range(n):
+            blocks[(x, y)] = [((0,), complex(s[x, y] ** k))]
+    for u, t in enumerate(off, n):
+        for y in range(n):
+            value = complex(np.prod([s[y, x] for x in t]))
+            blocks[(y, u)] = [((g,), value) for g in range(k)]
+            blocks[(u, y)] = [((0,), complex(np.prod([s[x, y] for x in t])))]
+        for v, w in enumerate(off, n):
+            blocks[(u, v)] = [
+                ((rot,), complex(np.prod([s[t[m], w[(m + rot) % k]] for m in range(k)])))
+                for rot in range(k)
+            ]
+    for r in range(1, k):
+        rows = base + (r - 1) * n
+        for x in range(n):
+            for y in range(n):
+                blocks[(rows + x, y)] = [((0,), complex(s[x, y]))]
+                blocks[(y, rows + x)] = [((0,), complex(s[y, x]))]
+        for q in range(1, k):
+            block = twisted_sector_block(d, k, r, q)
+            cols = base + (q - 1) * n
+            for x in range(n):
+                for y in range(n):
+                    blocks[(rows + x, cols + y)] = [((0,), complex(block[x, y]))]
     return orbits, blocks, group

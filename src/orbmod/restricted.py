@@ -233,24 +233,23 @@ def _check_block(
     j: int,
     entries: Sequence[tuple[GroupElement, complex]],
     orbits: Sequence[OrbitSpec],
+    stabilizers: Sequence[set[GroupElement]],
     group: FiniteAbelianGroup,
     eps: float,
 ) -> None:
     """Reject transversals with an element outside the group, or that
     double-count a module or contradict conjugation invariance of the
     supplied S-entries."""
-    stab_i = set(orbits[i].stabilizer)
-    stab_j = set(orbits[j].stabilizer)
     checked = [(group._check(kappa), v) for kappa, v in entries]
     for (k1, v1), (k2, v2) in itertools.combinations(checked, 2):
         diff = group.sub(k1, k2)
-        if diff in stab_j:
+        if diff in stabilizers[j]:
             raise ValueError(
                 f"block ({i}, {j}): transversal elements {k1} and {k2} "
                 "select the same module (their difference stabilizes orbit "
                 f"{orbits[j].label!r})"
             )
-        if diff in stab_i and abs(v1 - v2) > eps:
+        if diff in stabilizers[i] and abs(v1 - v2) > eps:
             raise ValueError(
                 f"block ({i}, {j}): entries at {k1} and {k2} must agree "
                 f"by conjugation invariance but differ by {abs(v1 - v2):.3g}"
@@ -273,11 +272,13 @@ def assemble_restricted_S(
     violations beyond ``eps``, or a nonempty block whose twists fall outside
     the character domains.
     """
-    offsets = []
+    # orbit i holds the rows offsets[i]:offsets[i + 1]
     pairs: list[tuple[int, int]] = []
+    offsets, stabilizers = [0], []
     for i, spec in enumerate(orbits):
-        offsets.append(len(pairs))
         pairs.extend((i, l) for l in range(spec.characters.n_characters))
+        offsets.append(len(pairs))
+        stabilizers.append(set(spec.stabilizer))
     n = len(pairs)
     out = np.zeros((n, n), dtype=complex)
 
@@ -286,7 +287,7 @@ def assemble_restricted_S(
             raise ValueError(f"block key ({i}, {j}) out of range")
         if not entries:
             continue
-        _check_block(i, j, entries, orbits, group, eps)
+        _check_block(i, j, entries, orbits, stabilizers, group, eps)
         spec_i, spec_j = orbits[i], orbits[j]
         try:
             # abelian group: conjugation is trivial, so the character factors
@@ -299,9 +300,7 @@ def assemble_restricted_S(
                 f"a stabilizer character domain: {exc}"
             ) from exc
         total = sum(complex(v) for _, v in entries) / len(spec_i.stabilizer)
-        rows = slice(offsets[i], offsets[i] + spec_i.characters.n_characters)
-        cols = slice(offsets[j], offsets[j] + spec_j.characters.n_characters)
-        out[rows, cols] = total * np.outer(lam, mu)
+        out[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = total * np.outer(lam, mu)
     return pairs, out
 
 

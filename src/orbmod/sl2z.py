@@ -10,6 +10,7 @@ first column, exact integer round trip), and evaluates the representation
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -188,14 +189,38 @@ def rho_of(m: SL2Matrix, d: ModularDatum) -> np.ndarray:
     return out
 
 
+# the primes to 37: as Miller-Rabin bases they decide every k below
+# 318665857834031151167461, the least strong pseudoprime to all of them
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(k: int) -> bool:
+    """Whether ``k`` is prime: a deterministic Miller-Rabin test over the
+    bases 2 to 37, O(log k) multiplications modulo ``k`` per base.
+
+    Exact below 3.18e23.  Above that bound a strong pseudoprime to all
+    twelve bases is taken for a prime; the k orbifold of any datum has more
+    than k modules, which fit in no memory, so ``perm`` refuses such a k
+    (exit 2) whichever the answer."""
+    k = operator.index(k)  # a numpy int too: three-argument pow takes ints only
     if k < 2:
         return False
-    f = 2
-    while f * f <= k:
-        if k % f == 0:
+    for p in _BASES:
+        if k % p == 0:
+            return k == p
+    odd, twos = k - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _BASES:
+        x = pow(a, odd, k)
+        if x in (1, k - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % k
+            if x == k - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 

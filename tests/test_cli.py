@@ -645,6 +645,17 @@ def test_perm_refuses_a_huge_prime_k_at_once(runner):
     )
 
 
+def test_perm_refuses_a_64_bit_prime_k_at_once(runner):
+    # 2**61 - 1 is prime; trial division took minutes to say so
+    started = time.perf_counter()
+    result = runner.invoke(main, ["perm", "--k", str(2**61 - 1), ising_path()])
+    assert time.perf_counter() - started < 1
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"error: the k={2**61 - 1} orbifold of {ising_path()} has about 10^")
+
+
 @pytest.mark.parametrize(
     "command,subject",
     [

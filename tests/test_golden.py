@@ -19,7 +19,7 @@ from click.testing import CliRunner
 import orbmod
 from orbmod import fixtures
 from orbmod.cli import main
-from orbmod.modular_data import modular_datum_to_dict
+from orbmod.modular_data import modular_datum_to_dict, parse_modular_datum
 from orbmod.perm_orbifold import permutation_restriction_data
 from orbmod.restricted import restricted_spec_to_dict
 
@@ -53,6 +53,14 @@ GOLDEN = {
     "fusion-fibonacci-csv": "826ab00549bf4c43f1d488a6ccbfdc05875e46df81d53faa349a88bd4af135af",
     "spec-ising-2": "0bfd980a94d17b99c72809ded8726b096623c7006b423f16d676cc5285d6db0e",
     "restricted-ising-2": "e1f92ab7e5cc80b8ba528f35fd5e467866b244755406a1bf4f5fc896225f5bbf",
+    # the oracle at k = 5: 2 and 1 source modules, 16 twisted x twisted blocks
+    "spec-fibonacci-5": "7f49f8494de1bfe8447377a32093cd2343ee1fc6fb25d8382822541d0ad7f02f",
+    "restricted-fibonacci-5": "5cc12cbe3d5bfdb71a3aa5fde71c15abd9f96399bac5ecd0f9d72d1b0d788eec",
+    "spec-holomorphic_c8-5": "11f0417a1326fe2b035cd8e2db6fae40f82dc5043198bfd3e023972b632bd308",
+    "restricted-holomorphic_c8-5": "704d08cd0fe030c05940f3a6ba78e4e78a55460bd8b2b97858f1b0ee9ab08074",
+    # the oracle on a generated complex S, read back from its JSON
+    "specsrc-u1:4-3": "ef22f37d9a1cbd36ff55aa17fe2db93d9d728b7a5e975e98bcf61264a42ebdac",
+    "restrictedsrc-u1:4-3": "c0b45f56a2f1ca5181b9d243d99d9b080188e82ca0105b929fdade9fad55cc1c",
     # a 40-bit matrix whose continued fraction holds the quotient 1000
     "decompose-856145336725 194079139008 606087388278 137393633341": (
         "25894f08a8760ac02cd84e26c35a5a528708adbea7da9326a085dcd2764be633"
@@ -92,14 +100,14 @@ def _on_orbifold(tmp_path, name, k, args):
     return _invoke([*args, "orb.json"])
 
 
-def _spec_text():
-    spec = restricted_spec_to_dict(*permutation_restriction_data(fixtures.load("ising"), 2))
+def _spec_text(source, k):
+    spec = restricted_spec_to_dict(*permutation_restriction_data(source, k))
     return json.dumps(spec, indent=2, sort_keys=True) + "\n"
 
 
-def _restricted(tmp_path):
+def _restricted(tmp_path, source, k):
     spec_path, out = tmp_path / "spec.json", tmp_path / "out.json"
-    spec_path.write_text(_spec_text())
+    spec_path.write_text(_spec_text(source, k))
     _invoke(["restricted", str(spec_path), "-o", str(out)])
     return out.read_bytes()
 
@@ -126,9 +134,16 @@ def _output(case, tmp_path):
         return _invoke([kind, "--format", fmt, str(fixtures.path(name))])
     if kind == "decompose":
         return _invoke(["sl2z", "decompose", *rest.split()])
-    if kind == "spec":
-        return _spec_text().encode()
-    return _restricted(tmp_path)
+    if kind in ("spec", "specsrc", "restricted", "restrictedsrc"):
+        name, k = rest.split("-")
+        if kind.endswith("src"):
+            source = parse_modular_datum(_source_file(tmp_path, name).read_text())
+        else:
+            source = fixtures.load(name)
+        if kind.startswith("spec"):
+            return _spec_text(source, int(k)).encode()
+        return _restricted(tmp_path, source, int(k))
+    raise ValueError(f"unknown golden case {case!r}")
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))

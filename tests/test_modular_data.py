@@ -296,13 +296,16 @@ def test_flat_parse_agrees_with_parse_entry_by_entry(doc):
 
 
 def test_flat_parse_takes_clean_documents():
-    # the fast path is taken, not only agreed with
+    # the fast path is taken, not only agreed with, when every part is a string
     raw = modular_datum_to_dict(fixtures.load("ising"))["S"]
-    raw[0][1] = {"re": 0.5, "im": 0, "note": "x"}
+    raw[0][1] = {"re": "0.5", "im": "0", "note": "x"}
     raw[1][1] = {"re": "-0.0", "im": " 5e-324 "}
     flat = modular_data._flat_s(raw)
     assert flat is not None
     assert flat.tobytes() == parse_entry_by_entry({"S": raw}).tobytes()
+    raw[0][1] = {"re": 0.5, "im": 0}  # number parts take the per-entry path
+    assert modular_data._flat_s(raw) is None
+    raw[0][1] = {"re": "0.5", "im": "0"}
     raw[2][2] = {"re": True, "im": "0"}
     assert modular_data._flat_s(raw) is None
 

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 
 import numpy as np
@@ -267,3 +268,21 @@ def test_sector_congruence_preconditions():
 
 def test_is_prime_small_cases():
     assert [k for k in range(15) if is_prime(k)] == [2, 3, 5, 7, 11, 13]
+
+
+def trial_division(k):
+    return k >= 2 and all(k % f for f in range(2, math.isqrt(k) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [k for k in range(200_000) if is_prime(k)] == [
+        k for k in range(200_000) if trial_division(k)
+    ]
+    # strong pseudoprimes to the first bases, and primes beyond trial division
+    assert not is_prime(2047)  # 23 * 89, base 2
+    assert not is_prime(3215031751)  # bases 2 to 7
+    assert not is_prime(3825123056546413051)  # bases 2 to 23
+    assert not is_prime(2**61 + 1)  # 3 * 768614336404564651
+    assert is_prime(2**61 - 1)
+    assert is_prime(10**14 + 31)
+    assert is_prime(np.int64(2**31 - 1)) and not is_prime(np.int64(41 * 43))
