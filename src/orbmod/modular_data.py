@@ -99,7 +99,8 @@ class ModuleInfo:
     weight: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", Fraction(self.weight))
+        if not isinstance(self.weight, Fraction):
+            object.__setattr__(self, "weight", Fraction(self.weight))
 
 
 @dataclass(frozen=True)
@@ -175,12 +176,12 @@ class FusionTensor:
 
     ``table`` is ``None`` when :func:`verlinde_fusion` was asked not to keep
     it.  A ``table`` that already is an int ndarray is kept, not copied, and
-    is made read-only in place; ``smallest`` is read from it when omitted.
+    is made read-only in place.
     """
 
     table: np.ndarray | None
     residual: float
-    smallest: float | None = None
+    smallest: float
 
     def __post_init__(self):
         if self.table is not None:
@@ -189,10 +190,6 @@ class FusionTensor:
                 raise ValueError(f"fusion tensor must be cubic, got shape {t.shape}")
             t.setflags(write=False)
             object.__setattr__(self, "table", t)
-            if self.smallest is None:
-                object.__setattr__(self, "smallest", t.min() if t.size else 0)
-        elif self.smallest is None:
-            raise ValueError("a fusion tensor without a table needs its smallest coefficient")
         object.__setattr__(self, "residual", float(self.residual))
         object.__setattr__(self, "smallest", float(self.smallest))
 
@@ -360,10 +357,7 @@ def parse_modular_datum(document: str | dict) -> ModularDatum:
     Unknown keys are ignored, so extended documents (e.g. orbifold output
     with per-module ``label_kind`` fields) parse as plain data.
 
-    S is read in one flat pass when every entry is a dict whose ``re`` and
-    ``im`` are strings or numbers (no booleans) that convert to finite
-    floats.  Otherwise it is read again entry by entry, which raises the
-    error for the first bad entry in row-major order.
+    S is read by :func:`_complex_rows`.
     """
     document = _json_object(document, {"central_charge", "modules", "S"})
     c = parse_rational(document["central_charge"])
@@ -390,27 +384,42 @@ def parse_modular_datum(document: str | dict) -> ModularDatum:
             f"dimension mismatch: {len(modules)} modules but S has "
             f"{len(raw_s)} rows of lengths {sorted(n_cols)}"
         )
-    s = _flat_s(raw_s)
-    if s is None:
-        s = np.array(
+    return ModularDatum(c, tuple(modules), _complex_rows(raw_s, "S[{i}][{j}]"))
+
+
+def _complex_rows(raw, where: str) -> np.ndarray:
+    """The complex matrix of the ``{"re", "im"}`` rows ``raw``: an S-matrix
+    or a character table.
+
+    It is read in one flat pass by :func:`_flat_s` when it can be.
+    Otherwise it is read again entry by entry, which raises the error for
+    the first bad entry in row-major order; ``where`` names that entry,
+    formatted with its row ``i`` and column ``j``."""
+    values = _flat_s(raw)
+    if values is None:
+        values = np.array(
             [
-                [_parse_complex(raw_s[i][j], f"S[{i}][{j}]") for j in range(len(modules))]
-                for i in range(len(raw_s))
+                [_parse_complex(v, where.format(i=i, j=j)) for j, v in enumerate(row)]
+                for i, row in enumerate(raw)
             ],
             dtype=complex,
         )
-    return ModularDatum(c, tuple(modules), s)
+    return values
 
 
-def _flat_s(raw_s: list) -> np.ndarray | None:
-    """The square complex matrix of the ``{"re", "im"}`` rows ``raw_s``,
-    or ``None`` when some entry is not one that :func:`_parse_complex`
-    reads as a finite value.
+def _flat_s(raw) -> np.ndarray | None:
+    """The complex matrix of the ``{"re", "im"}`` rows ``raw``, or ``None``
+    unless ``raw`` is a list of equally long lists whose every entry is one
+    that :func:`_parse_complex` reads as a finite value.
 
     Every part must be a string, as orbmod writes them; a document with
     number parts takes the per-entry path.  Each distinct text is converted
     once and then looked up: S-matrices repeat few values."""
-    entries = list(chain.from_iterable(raw_s))
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        return None
+    if len(set(map(len, raw))) > 1:
+        return None
+    entries = list(chain.from_iterable(raw))
     if set(map(type, entries)) != {dict}:
         return None
     try:
@@ -424,7 +433,7 @@ def _flat_s(raw_s: list) -> np.ndarray | None:
         return None
     if not np.isfinite(values).all():
         return None
-    return values.view(complex).reshape(len(raw_s), len(raw_s))
+    return values.view(complex).reshape(len(raw), -1)
 
 
 def modular_datum_to_dict(d: ModularDatum) -> dict:

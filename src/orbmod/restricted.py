@@ -36,6 +36,7 @@ from .modular_data import (
     CheckResult,
     InvalidDatum,
     ValidationReport,
+    _complex_rows,
     _json_object,
     _parse_complex,
     _plain,
@@ -89,16 +90,9 @@ class FiniteAbelianGroup:
             raise ValueError(f"{x} is not an element of {self}")
         return x
 
-    def add(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        x, y = self._check(x), self._check(y)
-        return tuple((a + b) % n for a, b, n in zip(x, y, self.invariant_factors))
-
     def neg(self, x: GroupElement) -> GroupElement:
         x = self._check(x)
         return tuple((-a) % n for a, n in zip(x, self.invariant_factors))
-
-    def sub(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        return self.add(x, self.neg(y))
 
     def __str__(self) -> str:
         if not self.invariant_factors:
@@ -239,10 +233,12 @@ def _check_block(
 ) -> None:
     """Reject transversals with an element outside the group, or that
     double-count a module or contradict conjugation invariance of the
-    supplied S-entries."""
+    supplied S-entries.  Each kappa is checked once; the pairwise
+    differences are then taken on its residues."""
     checked = [(group._check(kappa), v) for kappa, v in entries]
+    factors = group.invariant_factors
     for (k1, v1), (k2, v2) in itertools.combinations(checked, 2):
-        diff = group.sub(k1, k2)
+        diff = tuple((a - b) % n for a, b, n in zip(k1, k2, factors))
         if diff in stabilizers[j]:
             raise ValueError(
                 f"block ({i}, {j}): transversal elements {k1} and {k2} "
@@ -353,13 +349,7 @@ def parse_restricted_spec(
             chars = entry["characters"]
             table = CharacterTable(
                 tuple(_parse_element(e, where) for e in chars["elements"]),
-                np.array(
-                    [
-                        [_parse_complex(v, where) for v in row]
-                        for row in chars["table"]
-                    ],
-                    dtype=complex,
-                ),
+                _complex_rows(chars["table"], where),
                 tuple(_parse_int(v, "dimension") for v in chars["dims"]),
             )
             label = entry["label"]

@@ -509,7 +509,12 @@ def pipe_bytes(chunks, monkeypatch):
     """What a process reading a pipe on stdout gets."""
     read_end, write_end = os.pipe()
     received = []
-    reader = threading.Thread(target=lambda: received.append(os.fdopen(read_end, "rb").read()))
+
+    def read():
+        with os.fdopen(read_end, "rb") as pipe:
+            received.append(pipe.read())
+
+    reader = threading.Thread(target=read)
     reader.start()
     with io.TextIOWrapper(os.fdopen(write_end, "wb"), encoding="ascii") as stdout:
         with monkeypatch.context() as patch:

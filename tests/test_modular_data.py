@@ -310,6 +310,15 @@ def test_flat_parse_takes_clean_documents():
     assert modular_data._flat_s(raw) is None
 
 
+def test_flat_parse_reads_rectangular_rows_only():
+    one, half = {"re": "1", "im": "0"}, {"re": "0.5", "im": "-0.5"}
+    flat = modular_data._flat_s([[one, half, one], [half, one, half]])
+    assert flat.tobytes() == np.array([[1, 0.5 - 0.5j, 1], [0.5 - 0.5j, 1, 0.5 - 0.5j]]).tobytes()
+    assert modular_data._flat_s([[one, half], [one]]) is None
+    assert modular_data._flat_s([[one], one]) is None
+    assert modular_data._flat_s({"re": "1", "im": "0"}) is None
+
+
 def test_serialization_round_trip(ising):
     back = parse_modular_datum(json.dumps(modular_datum_to_dict(ising)))
     assert back.central_charge == ising.central_charge
@@ -527,7 +536,8 @@ def einsum_fusion(d, keep_table=True):
     s = d.s_matrix
     raw = np.einsum("il,jl,ml->ijm", s, s, s.conj() / s[0])
     rounded = np.round(raw.real)
-    return FusionTensor(rounded.astype(int), float(np.max(np.abs(raw - rounded))))
+    table = rounded.astype(int)
+    return FusionTensor(table, float(np.max(np.abs(raw - rounded))), table.min())
 
 
 def verdicts(report):
@@ -678,12 +688,12 @@ def test_fusion_scratch_is_small_beside_the_table():
 @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3), (1, 2, 2), (2, 2, 2, 2)])
 def test_fusion_tensor_must_be_cubic(shape):
     with pytest.raises(ValueError, match="fusion tensor must be cubic"):
-        FusionTensor(np.zeros(shape, dtype=int), 0.0)
+        FusionTensor(np.zeros(shape, dtype=int), 0.0, 0)
 
 
 def test_fusion_tensor_keeps_an_int_table_without_copying():
     table = np.zeros((2, 2, 2), dtype=int)
-    tensor = FusionTensor(table, 0.0)
+    tensor = FusionTensor(table, 0.0, 0)
     assert tensor.table is table
     assert not table.flags.writeable
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from orbmod import modular_data
 from orbmod.modular_data import InvalidDatum
 from orbmod.perm_orbifold import (
     assemble_orbifold_S,
@@ -65,9 +66,7 @@ def test_group_basics():
     assert Z2.elements() == ((0,), (1,))
     g = FiniteAbelianGroup((2, 4))
     assert len(g.elements()) == 8
-    assert g.add((1, 3), (1, 2)) == (0, 1)
     assert g.neg((1, 1)) == (1, 3)
-    assert g.sub((1, 1), (1, 1)) == (0, 0)
     assert not g.contains((0, 4))
     assert TRIVIAL.elements() == ((),)
 
@@ -213,6 +212,61 @@ def test_duplicate_transversal_coset_rejected():
     blocks = {(0, 1): [((0,), 1.0), ((1,), 1.0)]}
     with pytest.raises(ValueError, match="same module"):
         assemble_restricted_S(orbits, blocks, Z2)
+
+
+Z4 = FiniteAbelianGroup((4,))
+
+
+def half_orbit(group, label, stabilizer):
+    """An orbit with twist 0 whose stabilizer is the order-2 subgroup
+    ``stabilizer``, with that subgroup's two characters."""
+    table = CharacterTable(stabilizer, np.array([[1, 1], [1, -1]], dtype=complex), (1, 1))
+    return OrbitSpec(label, (0,) * len(group.invariant_factors), stabilizer, table)
+
+
+def free_orbit(group, label):
+    zero = (0,) * len(group.invariant_factors)
+    return OrbitSpec(label, zero, (zero,), CharacterTable((zero,), [[1.0]], (1,)))
+
+
+@pytest.mark.parametrize(
+    "kappas,pair",
+    [
+        # (1,) - (3,) is -2, which is (2,) modulo 4 and stabilizes the column orbit
+        ([(1,), (3,)], "(1,) and (3,)"),
+        # failing pairs (1,), (3,) and (0,), (2,): the first is met first in
+        # itertools.combinations order, the second first in sorted order
+        ([(1,), (0,), (3,), (2,)], "(1,) and (3,)"),
+    ],
+    ids=["wraps-around", "first-in-combinations-order"],
+)
+def test_duplicate_transversal_modulo_4(kappas, pair):
+    orbits = [free_orbit(Z4, "free"), half_orbit(Z4, "half", ((0,), (2,)))]
+    with pytest.raises(ValueError) as info:
+        assemble_restricted_S(orbits, {(0, 1): [(k, 1.0) for k in kappas]}, Z4)
+    assert str(info.value) == (
+        f"block (0, 1): transversal elements {pair} select the same module "
+        "(their difference stabilizes orbit 'half')"
+    )
+
+
+def test_block_over_a_product_group():
+    group = FiniteAbelianGroup((2, 4))
+    orbits = [free_orbit(group, "free"), half_orbit(group, "half", ((0, 0), (1, 2)))]
+    # one kappa per coset of {(0, 0), (1, 2)}: (0, 2) and (1, 0) share one
+    transversal = [((0, 0), 0.5), ((0, 1), 0.25), ((1, 0), 0.125), ((1, 1), 0.0625)]
+    pairs, out = assemble_restricted_S(orbits, {(0, 1): transversal}, group)
+    assert pairs == [(0, 0), (1, 0), (1, 1)]
+    expected = np.zeros((3, 3), dtype=complex)
+    expected[0, 1:] = 0.9375
+    assert np.array_equal(out, expected)
+    # (0, 1) and (1, 3) differ by (1, 2), with a wrap in the second factor
+    with pytest.raises(ValueError) as info:
+        assemble_restricted_S(orbits, {(0, 1): transversal + [((1, 3), 0.25)]}, group)
+    assert str(info.value) == (
+        "block (0, 1): transversal elements (0, 1) and (1, 3) select the same module "
+        "(their difference stabilizes orbit 'half')"
+    )
 
 
 def test_conjugation_invariance_violation_rejected():
@@ -426,6 +480,77 @@ def test_parse_restricted_spec_rejects_malformed(ising, mutate):
     mutate(doc)
     with pytest.raises(InvalidDatum):
         parse_restricted_spec(json.dumps(doc))
+
+
+def oracle_spec(datum, k):
+    """The permutation oracle's spec as the JSON value of its text."""
+    return json.loads(json.dumps(restricted_spec_to_dict(*permutation_restriction_data(datum, k))))
+
+
+def test_clean_character_tables_take_the_flat_pass(fibonacci, monkeypatch):
+    doc = oracle_spec(fibonacci, 3)
+    expected, _, _ = parse_restricted_spec(doc)
+
+    def per_entry(entry, where):
+        raise AssertionError(f"per-entry read of {where}")
+
+    monkeypatch.setattr(modular_data, "_parse_complex", per_entry)
+    orbits, _, _ = parse_restricted_spec(doc)
+    for got, want in zip(orbits, expected):
+        assert got.characters.rows.tobytes() == want.characters.rows.tobytes()
+    doc["orbits"][0]["characters"]["table"][0][0]["re"] = 1.0  # a number part
+    with pytest.raises(AssertionError, match=r"per-entry read of orbits\[0\]"):
+        parse_restricted_spec(doc)
+
+
+def test_character_table_number_parts_read_as_their_strings(fibonacci):
+    doc = oracle_spec(fibonacci, 3)
+    table = doc["orbits"][0]["characters"]["table"]
+    expected = parse_restricted_spec(doc)[0][0].characters.rows
+    for row in table:
+        for entry in row:
+            entry.update(re=float(entry["re"]), im=float(entry["im"]))
+    assert parse_restricted_spec(doc)[0][0].characters.rows.tobytes() == expected.tobytes()
+
+
+def ragged_message():
+    # numpy's own text for a ragged list; it is not fixed across versions
+    try:
+        np.array([[1, 1, 1], [1, 1], [1, 1, 1]], dtype=complex)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("numpy read a ragged list")
+
+
+NOT_AN_ENTRY = 'expected {"re": ..., "im": ...} in orbits[0]'
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (lambda t: t[0][0].update(re=10**400), "non-finite complex value (int too large) in orbits[0]"),
+        (lambda t: t[1][1].update(im=True), "bad decimal value True in orbits[0]"),
+        (lambda t: t[0][1].update(re="nan"),
+         "non-finite complex value {'re': 'nan', 'im': '0.0'} in orbits[0]"),
+        (lambda t: t[1].__setitem__(1, [1, 0]), NOT_AN_ENTRY),
+        (lambda t: t[1].__setitem__(0, "1"), NOT_AN_ENTRY),
+        (lambda t: t[0][1].pop("im"), NOT_AN_ENTRY),
+        (lambda t: t[1].pop(), None),
+        # a bad entry in a ragged table is met before the shape
+        (lambda t: (t[1].pop(), t[0][0].update(re="x")), "bad decimal string 'x' in orbits[0]"),
+        (lambda t: t.__setitem__(1, "ab"), NOT_AN_ENTRY),
+        (lambda t: t.__setitem__(1, 5), "'int' object is not iterable"),
+        (lambda t: [row.clear() for row in t], "character table shape (3, 0) does not match 3 elements"),
+    ],
+    ids=["int-too-large", "bool", "nan", "list-entry", "string-entry", "no-im", "ragged",
+         "ragged-and-bad", "string-row", "int-row", "empty-rows"],
+)
+def test_malformed_character_table_messages(fibonacci, mutate, message):
+    doc = oracle_spec(fibonacci, 3)
+    mutate(doc["orbits"][0]["characters"]["table"])
+    with pytest.raises(InvalidDatum) as info:
+        parse_restricted_spec(doc)
+    assert str(info.value) == f"bad orbit entry orbits[0]: {message or ragged_message()}"
 
 
 def test_parse_restricted_spec_names_the_orbit_of_a_non_string_label(ising):
