@@ -451,12 +451,12 @@ def permutation_restriction_data(
     )
     trivial_table = CharacterTable(((0,),), np.array([[1.0]], dtype=complex), (1,))
 
-    orbits = [OrbitSpec(f"diag({x})", (0,), elems, full_table) for x in names]
+    orbits = [OrbitSpec(f"diag({x})", (0,), full_table) for x in names]
     for t in off:
         text = ",".join(_factor_text(names[x]) for x in t)
-        orbits.append(OrbitSpec(f"off({text})", (0,), ((0,),), trivial_table))
+        orbits.append(OrbitSpec(f"off({text})", (0,), trivial_table))
     orbits += [
-        OrbitSpec(f"tw{r}({x})", (r,), elems, full_table) for r in range(1, k) for x in names
+        OrbitSpec(f"tw{r}({x})", (r,), full_table) for r in range(1, k) for x in names
     ]
     base = n + len(off)
 

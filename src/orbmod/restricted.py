@@ -4,9 +4,9 @@ The irreducible modules of the fixed-point subalgebra under a finite abelian
 automorphism group are labeled by pairs ``(orbit, character)``: an orbit of
 twisted modules under the group action, together with an irreducible
 character of the orbit representative's stabilizer.  Given, per orbit, the
-twist element, the stabilizer and its character table, and, per ordered
-orbit pair, a transversal of group elements with the corresponding
-S-matrix entries between twisted modules, the restricted S-matrix entry is
+twist element and the stabilizer's character table (its domain is the
+stabilizer), and, per ordered orbit pair, a transversal of group elements
+with the S-matrix entries between twisted modules, the restricted entry is
 
     S[(i, lam), (j, mu)]
         = (1/|H_i|) * sum over kappa in C[i, j] of
@@ -149,23 +149,15 @@ class CharacterTable:
 @dataclass(frozen=True)
 class OrbitSpec:
     """One orbit of twisted modules: representative label, twist element,
-    stabilizer, and the stabilizer's character table."""
+    and the character table of the stabilizer, which is the table's
+    domain ``characters.elements``."""
 
     label: str
     twist: GroupElement
-    stabilizer: tuple[GroupElement, ...]
     characters: CharacterTable
 
     def __post_init__(self):
         object.__setattr__(self, "twist", tuple(int(v) for v in self.twist))
-        object.__setattr__(
-            self, "stabilizer", tuple(tuple(int(v) for v in e) for e in self.stabilizer)
-        )
-        if set(self.characters.elements) != set(self.stabilizer):
-            raise ValueError(
-                f"orbit {self.label!r}: character table domain does not match "
-                "the stabilizer"
-            )
 
 
 # blocks[(i, j)] lists (kappa, S-value) pairs over the transversal C[i, j];
@@ -184,14 +176,14 @@ def validate_group_data(
     worst_dim, worst_dim_at = 0.0, ""
     for spec in orbits:
         table = spec.characters
-        h = len(spec.stabilizer)
+        h = len(table.elements)
         gram = table.rows @ table.rows.conj().T
         res = float(np.max(np.abs(gram - h * np.eye(table.n_characters))))
         if np.isnan(res):  # NaN compares False and would pass the check
             res = np.inf
         if res > worst_orth:
             worst_orth, worst_orth_at = res, spec.label
-        if spec.twist not in set(spec.stabilizer):
+        if spec.twist not in table._index:
             bad_twist.append(spec.label)
         try:
             res = float(abs(sum(d * d for d in table.dims) - h))
@@ -227,7 +219,6 @@ def _check_block(
     j: int,
     entries: Sequence[tuple[GroupElement, complex]],
     orbits: Sequence[OrbitSpec],
-    stabilizers: Sequence[set[GroupElement]],
     group: FiniteAbelianGroup,
     eps: float,
 ) -> None:
@@ -237,15 +228,16 @@ def _check_block(
     differences are then taken on its residues."""
     checked = [(group._check(kappa), v) for kappa, v in entries]
     factors = group.invariant_factors
+    stabilizer_i, stabilizer_j = orbits[i].characters._index, orbits[j].characters._index
     for (k1, v1), (k2, v2) in itertools.combinations(checked, 2):
         diff = tuple((a - b) % n for a, b, n in zip(k1, k2, factors))
-        if diff in stabilizers[j]:
+        if diff in stabilizer_j:
             raise ValueError(
                 f"block ({i}, {j}): transversal elements {k1} and {k2} "
                 "select the same module (their difference stabilizes orbit "
                 f"{orbits[j].label!r})"
             )
-        if diff in stabilizers[i] and abs(v1 - v2) > eps:
+        if diff in stabilizer_i and abs(v1 - v2) > eps:
             raise ValueError(
                 f"block ({i}, {j}): entries at {k1} and {k2} must agree "
                 f"by conjugation invariance but differ by {abs(v1 - v2):.3g}"
@@ -270,11 +262,10 @@ def assemble_restricted_S(
     """
     # orbit i holds the rows offsets[i]:offsets[i + 1]
     pairs: list[tuple[int, int]] = []
-    offsets, stabilizers = [0], []
+    offsets = [0]
     for i, spec in enumerate(orbits):
         pairs.extend((i, l) for l in range(spec.characters.n_characters))
         offsets.append(len(pairs))
-        stabilizers.append(set(spec.stabilizer))
     n = len(pairs)
     out = np.zeros((n, n), dtype=complex)
 
@@ -283,7 +274,7 @@ def assemble_restricted_S(
             raise ValueError(f"block key ({i}, {j}) out of range")
         if not entries:
             continue
-        _check_block(i, j, entries, orbits, stabilizers, group, eps)
+        _check_block(i, j, entries, orbits, group, eps)
         spec_i, spec_j = orbits[i], orbits[j]
         try:
             # abelian group: conjugation is trivial, so the character factors
@@ -295,7 +286,7 @@ def assemble_restricted_S(
                 f"block ({i}, {j}) is nonempty but the twist data falls outside "
                 f"a stabilizer character domain: {exc}"
             ) from exc
-        total = sum(complex(v) for _, v in entries) / len(spec_i.stabilizer)
+        total = sum(complex(v) for _, v in entries) / len(spec_i.characters.elements)
         out[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = total * np.outer(lam, mu)
     return pairs, out
 
@@ -330,6 +321,9 @@ def parse_restricted_spec(
                                      "table": [[{"re", "im"}, ...], ...]}}],
          "blocks": [{"i": int, "j": int,
                      "entries": [{"kappa": [..], "value": {"re", "im"}}]}]}
+
+    An orbit's ``"stabilizer"`` lists its ``"elements"``, each once, in any
+    order; ``"table"`` is a list of equally long rows.
     """
     document = _json_object(document, {"group", "orbits", "blocks"})
     for key in ("orbits", "blocks"):
@@ -347,22 +341,27 @@ def parse_restricted_spec(
         where = f"orbits[{pos}]"
         try:
             chars = entry["characters"]
+            elements = tuple(_parse_element(e, where) for e in chars["elements"])
+            rows = chars["table"]
+            lists = isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+            if not lists or len(set(map(len, rows))) > 1:
+                raise ValueError('"table" must be a list of equally long rows')
             table = CharacterTable(
-                tuple(_parse_element(e, where) for e in chars["elements"]),
-                _complex_rows(chars["table"], where),
+                elements,
+                _complex_rows(rows, where),
                 tuple(_parse_int(v, "dimension") for v in chars["dims"]),
             )
             label = entry["label"]
             if not isinstance(label, str):
                 raise TypeError(f"label must be a string, not {type(label).__name__}")
-            orbits.append(
-                OrbitSpec(
-                    label,
-                    _parse_element(entry["twist"], where),
-                    tuple(_parse_element(e, where) for e in entry["stabilizer"]),
-                    table,
+            twist = _parse_element(entry["twist"], where)
+            stabilizer = [_parse_element(e, where) for e in entry["stabilizer"]]
+            # the domain holds each element once: a repeat would change |H|
+            if sorted(stabilizer) != sorted(table.elements):
+                raise ValueError(
+                    f"orbit {label!r}: character table domain does not match the stabilizer"
                 )
-            )
+            orbits.append(OrbitSpec(label, twist, table))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidDatum(f"bad orbit entry {where}: {exc}") from exc
 
@@ -397,7 +396,7 @@ def restricted_spec_to_dict(
             {
                 "label": o.label,
                 "twist": list(o.twist),
-                "stabilizer": [list(e) for e in o.stabilizer],
+                "stabilizer": [list(e) for e in o.characters.elements],
                 "characters": {
                     "dims": list(o.characters.dims),
                     "elements": [list(e) for e in o.characters.elements],

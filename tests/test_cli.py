@@ -896,6 +896,40 @@ def test_restricted_cli_rejects_kappa_outside_group(runner, tmp_path, n_entries)
     assert result.stderr == "error: (5,) is not an element of Z_2\n"
 
 
+def write_ising_oracle_spec(tmp_path, name, stabilizer=None):
+    """The permutation oracle's Ising k = 2 spec, with the first orbit's
+    ``"stabilizer"`` replaced when one is given."""
+    spec = restricted_spec_to_dict(*permutation_restriction_data(fixtures.load("ising"), 2))
+    if stabilizer is not None:
+        spec["orbits"][0]["stabilizer"] = stabilizer
+    path = tmp_path / name
+    path.write_text(json.dumps(spec))
+    return path
+
+
+def test_restricted_cli_refuses_a_repeated_stabilizer_element(runner, tmp_path):
+    # accepted before, it divided by |H| = 3 and failed the group checks with exit 1
+    spec_path = write_ising_oracle_spec(tmp_path, "spec.json", [[0], [0], [1]])
+    result = runner.invoke(main, ["restricted", str(spec_path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: {spec_path}: bad orbit entry orbits[0]: orbit 'diag(1)': "
+        "character table domain does not match the stabilizer\n"
+    )
+
+
+def test_restricted_cli_output_ignores_the_stabilizer_order(runner, tmp_path):
+    outputs = []
+    for name, stabilizer in (("plain", None), ("reordered", [[1], [0]])):
+        spec_path = write_ising_oracle_spec(tmp_path, f"{name}.json", stabilizer)
+        out = tmp_path / f"{name}-out.json"
+        result = runner.invoke(main, ["restricted", str(spec_path), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_restricted_cli_rejects_duplicate_transversal(runner, tmp_path):
     spec_path, _ = make_trivial_spec(tmp_path)
     doc = json.loads(spec_path.read_text())

@@ -1,17 +1,21 @@
 """The public names: each submodule's ``__all__`` is the one list, the
-package re-exports exactly those lists, and the benchmark's tracer and
-scripts find every function they name."""
+package re-exports exactly those lists, the benchmark's tracer and
+scripts find every function they name, and the README's quickstart runs
+as its comments say."""
 
+import ast
 import importlib
 import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orbmod
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 SUBMODULES = ("modular_data", "perm_orbifold", "restricted", "sl2z")
 
 
@@ -50,3 +54,28 @@ def test_benchmark_uses_only_exported_names():
         used |= set(re.findall(r"\borbmod\.(\w+)", script.read_text()))
     packages = {"cli", "fixtures", *SUBMODULES}
     assert used - packages <= set(orbmod.__all__)
+
+
+def run_quickstart():
+    """Run the README's ``python`` block one statement at a time; returns its
+    namespace and the value of each expression statement, by its text."""
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    namespace, shown = {}, {}
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            shown[ast.get_source_segment(block, node)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    return namespace, shown
+
+
+def test_readme_quickstart_does_what_its_comments_say():
+    namespace, shown = run_quickstart()
+    assert namespace["report"].ok
+    assert shown["report.fusion.table[2, 2]"].tolist() == [1, 1, 0]
+    orb = namespace["orb"]
+    assert len(orb.datum.modules) == 15
+    assert shown["orb.report.ok"]
+    assert abs(shown["orbmod.quantum_dimensions(orb.datum)[1]"] - 64) <= 1e-12
+    assert np.max(np.abs(namespace["s"] - orb.datum.s_matrix)) <= 1e-12

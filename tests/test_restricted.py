@@ -23,6 +23,7 @@ from orbmod.restricted import (
 )
 
 Z2 = FiniteAbelianGroup((2,))
+FIXTURES = ("ising", "fibonacci", "holomorphic_c8")
 TRIVIAL = FiniteAbelianGroup(())
 
 
@@ -35,14 +36,14 @@ def z2_table():
 def trivial_orbits_for(datum):
     """One orbit per module with trivial group data (twist 1, stabilizer 1)."""
     table = CharacterTable(((),), np.array([[1.0]], dtype=complex), (1,))
-    return [OrbitSpec(lbl, (), ((),), table) for lbl in datum.labels]
+    return [OrbitSpec(lbl, (), table) for lbl in datum.labels]
 
 
 def singleton_orbits():
     """Holomorphic Z_2 case: every element its own orbit, the full group as
     stabilizer, one twisted module per element."""
     elems = Z2.elements()
-    return [OrbitSpec(f"V{g}", g, elems, z2_table()) for g in elems]
+    return [OrbitSpec(f"V{g}", g, z2_table()) for g in elems]
 
 
 def dual_table(group):
@@ -84,7 +85,7 @@ def test_character_table_orthogonality(factors):
     table = dual_table(g)
     gram = table.rows @ table.rows.conj().T
     assert_allclose(gram, len(elems) * np.eye(len(elems)), atol=1e-12)
-    assert validate_group_data([OrbitSpec("full", elems[-1], elems, table)]).ok
+    assert validate_group_data([OrbitSpec("full", elems[-1], table)]).ok
 
 
 def test_character_table_domain_errors():
@@ -96,9 +97,35 @@ def test_character_table_domain_errors():
         CharacterTable(((0,),), np.array([[1, 1]]), (1,))
 
 
-def test_orbit_spec_requires_matching_domain():
-    with pytest.raises(ValueError, match="does not match"):
-        OrbitSpec("bad", (0,), ((0,),), z2_table())
+def test_orbit_spec_requires_matching_domain(ising):
+    # the stabilizer lists the character domain [[0], [1]], each element once:
+    # a repeated element would make |H| 3
+    for stabilizer in ([[0]], [[0], [0], [1]], [[0], [1], [1]], [[0], [1], [2]], []):
+        doc = oracle_spec(ising, 2)
+        doc["orbits"][0]["stabilizer"] = stabilizer
+        with pytest.raises(InvalidDatum) as info:
+            parse_restricted_spec(doc)
+        assert str(info.value) == (
+            "bad orbit entry orbits[0]: orbit 'diag(1)': character table domain "
+            "does not match the stabilizer"
+        )
+
+
+@pytest.mark.parametrize("name,k", [(name, k) for name in FIXTURES for k in (2, 3, 5)])
+def test_domain_order_does_not_matter(name, k):
+    from orbmod import fixtures
+
+    doc = oracle_spec(fixtures.load(name), k)
+    pairs, s = assemble_restricted_S(*parse_restricted_spec(doc))
+    for orbit in doc["orbits"]:
+        orbit["stabilizer"].reverse()
+        chars = orbit["characters"]
+        # a rotation, so that the domain's order differs from the stabilizer's too
+        chars["elements"] = chars["elements"][1:] + chars["elements"][:1]
+        chars["table"] = [row[1:] + row[:1] for row in chars["table"]]
+    pairs2, s2 = assemble_restricted_S(*parse_restricted_spec(doc))
+    assert pairs2 == pairs
+    assert s2.tobytes() == s.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +134,8 @@ def test_orbit_spec_requires_matching_domain():
 
 def test_validate_group_data_passes_standard_cases():
     orbits = [
-        OrbitSpec("trivial", (), ((),), CharacterTable(((),), [[1.0]], (1,))),
-        OrbitSpec("z2", (1,), ((0,), (1,)), z2_table()),
+        OrbitSpec("trivial", (), CharacterTable(((),), [[1.0]], (1,))),
+        OrbitSpec("z2", (1,), z2_table()),
     ]
     report = validate_group_data(orbits)
     assert report.ok
@@ -117,7 +144,7 @@ def test_validate_group_data_passes_standard_cases():
 def test_validate_group_data_detects_corrupted_character():
     rows = np.array([[1, 1], [1, -0.9]], dtype=complex)
     orbits = [
-        OrbitSpec("z2", (1,), ((0,), (1,)), CharacterTable(((0,), (1,)), rows, (1, 1)))
+        OrbitSpec("z2", (1,), CharacterTable(((0,), (1,)), rows, (1, 1)))
     ]
     report = validate_group_data(orbits)
     assert not report["character_orthogonality"].passed
@@ -125,9 +152,9 @@ def test_validate_group_data_detects_corrupted_character():
 
 def test_validate_group_data_detects_nan_character():
     # NaN compares False with any tolerance, so it must fail explicitly
-    good = OrbitSpec("z2", (1,), ((0,), (1,)), z2_table())
+    good = OrbitSpec("z2", (1,), z2_table())
     rows = np.array([[1, 1], [1, np.nan]], dtype=complex)
-    bad = OrbitSpec("broken", (1,), ((0,), (1,)), CharacterTable(((0,), (1,)), rows, (1, 1)))
+    bad = OrbitSpec("broken", (1,), CharacterTable(((0,), (1,)), rows, (1, 1)))
     for orbits in ([bad, good], [good, bad]):
         check = validate_group_data(orbits)["character_orthogonality"]
         assert not check.passed
@@ -136,14 +163,14 @@ def test_validate_group_data_detects_nan_character():
 
 def test_validate_group_data_detects_twist_outside_stabilizer():
     table = CharacterTable(((0,),), np.array([[1.0]]), (1,))
-    orbits = [OrbitSpec("stray", (1,), ((0,),), table)]
+    orbits = [OrbitSpec("stray", (1,), table)]
     report = validate_group_data(orbits)
     assert not report["twist_in_stabilizer"].passed
 
 
 def test_validate_group_data_detects_dimension_mismatch():
     table = CharacterTable(((0,), (1,)), np.array([[1, 1], [1, -1]]), (1, 2))
-    orbits = [OrbitSpec("z2", (0,), ((0,), (1,)), table)]
+    orbits = [OrbitSpec("z2", (0,), table)]
     report = validate_group_data(orbits)
     assert not report["dimension_sum"].passed
 
@@ -200,7 +227,7 @@ def test_block_key_out_of_range_rejected(ising, key):
 )
 def test_every_kappa_must_lie_in_the_group(group, kappa, others, message):
     elems = group.elements()
-    orbits = [OrbitSpec("full", elems[0], elems, dual_table(group))] * 2
+    orbits = [OrbitSpec("full", elems[0], dual_table(group))] * 2
     blocks = {(0, 1): [(kappa, 1.0)] + [(k, 1.0) for k in others]}
     with pytest.raises(ValueError) as info:
         assemble_restricted_S(orbits, blocks, group)
@@ -208,7 +235,7 @@ def test_every_kappa_must_lie_in_the_group(group, kappa, others, message):
 
 
 def test_duplicate_transversal_coset_rejected():
-    orbits = [OrbitSpec("a", (0,), ((0,), (1,)), z2_table())] * 2
+    orbits = [OrbitSpec("a", (0,), z2_table())] * 2
     blocks = {(0, 1): [((0,), 1.0), ((1,), 1.0)]}
     with pytest.raises(ValueError, match="same module"):
         assemble_restricted_S(orbits, blocks, Z2)
@@ -221,12 +248,12 @@ def half_orbit(group, label, stabilizer):
     """An orbit with twist 0 whose stabilizer is the order-2 subgroup
     ``stabilizer``, with that subgroup's two characters."""
     table = CharacterTable(stabilizer, np.array([[1, 1], [1, -1]], dtype=complex), (1, 1))
-    return OrbitSpec(label, (0,) * len(group.invariant_factors), stabilizer, table)
+    return OrbitSpec(label, (0,) * len(group.invariant_factors), table)
 
 
 def free_orbit(group, label):
     zero = (0,) * len(group.invariant_factors)
-    return OrbitSpec(label, zero, (zero,), CharacterTable((zero,), [[1.0]], (1,)))
+    return OrbitSpec(label, zero, CharacterTable((zero,), [[1.0]], (1,)))
 
 
 @pytest.mark.parametrize(
@@ -272,9 +299,9 @@ def test_block_over_a_product_group():
 def test_conjugation_invariance_violation_rejected():
     # row orbit fully stabilized, column orbit free: both kappas are valid
     # transversal members but the values must then agree
-    full = OrbitSpec("full", (0,), ((0,), (1,)), z2_table())
+    full = OrbitSpec("full", (0,), z2_table())
     free = OrbitSpec(
-        "free", (0,), ((0,),), CharacterTable(((0,),), [[1.0]], (1,))
+        "free", (0,), CharacterTable(((0,),), [[1.0]], (1,))
     )
     blocks = {(0, 1): [((0,), 1.0), ((1,), 1.0 + 1e-3)]}
     with pytest.raises(ValueError, match="conjugation invariance"):
@@ -285,8 +312,8 @@ def test_conjugation_invariance_violation_rejected():
 
 
 def test_nonempty_block_requires_twist_in_domain():
-    free = OrbitSpec("free", (0,), ((0,),), CharacterTable(((0,),), [[1.0]], (1,)))
-    twisted = OrbitSpec("tw", (1,), ((0,), (1,)), z2_table())
+    free = OrbitSpec("free", (0,), CharacterTable(((0,),), [[1.0]], (1,)))
+    twisted = OrbitSpec("tw", (1,), z2_table())
     blocks = {(0, 1): [((0,), 1.0)]}  # lam would be evaluated at (1,)
     with pytest.raises(ValueError, match="outside"):
         assemble_restricted_S([free, twisted], blocks, Z2)
@@ -357,7 +384,7 @@ def test_vacuum_row_shortcut_matches_general_assembly(ising):
     rows = np.concatenate(
         [
             blocks[(0, j)][0][1]
-            / len(spec.stabilizer)
+            / len(spec.characters.elements)
             * np.outer(vac.column(group.neg(spec.twist)), spec.characters.dims)
             for j, spec in enumerate(orbits)
         ],
@@ -513,44 +540,38 @@ def test_character_table_number_parts_read_as_their_strings(fibonacci):
     assert parse_restricted_spec(doc)[0][0].characters.rows.tobytes() == expected.tobytes()
 
 
-def ragged_message():
-    # numpy's own text for a ragged list; it is not fixed across versions
-    try:
-        np.array([[1, 1, 1], [1, 1], [1, 1, 1]], dtype=complex)
-    except ValueError as exc:
-        return str(exc)
-    raise AssertionError("numpy read a ragged list")
-
-
 NOT_AN_ENTRY = 'expected {"re": ..., "im": ...} in orbits[0]'
+NOT_A_TABLE = '"table" must be a list of equally long rows'
 
 
 @pytest.mark.parametrize(
     "mutate,message",
     [
-        (lambda t: t[0][0].update(re=10**400), "non-finite complex value (int too large) in orbits[0]"),
-        (lambda t: t[1][1].update(im=True), "bad decimal value True in orbits[0]"),
-        (lambda t: t[0][1].update(re="nan"),
+        (lambda c: c["table"][0][0].update(re=10**400), "non-finite complex value (int too large) in orbits[0]"),
+        (lambda c: c["table"][1][1].update(im=True), "bad decimal value True in orbits[0]"),
+        (lambda c: c["table"][0][1].update(re="nan"),
          "non-finite complex value {'re': 'nan', 'im': '0.0'} in orbits[0]"),
-        (lambda t: t[1].__setitem__(1, [1, 0]), NOT_AN_ENTRY),
-        (lambda t: t[1].__setitem__(0, "1"), NOT_AN_ENTRY),
-        (lambda t: t[0][1].pop("im"), NOT_AN_ENTRY),
-        (lambda t: t[1].pop(), None),
-        # a bad entry in a ragged table is met before the shape
-        (lambda t: (t[1].pop(), t[0][0].update(re="x")), "bad decimal string 'x' in orbits[0]"),
-        (lambda t: t.__setitem__(1, "ab"), NOT_AN_ENTRY),
-        (lambda t: t.__setitem__(1, 5), "'int' object is not iterable"),
-        (lambda t: [row.clear() for row in t], "character table shape (3, 0) does not match 3 elements"),
+        (lambda c: c["table"][1].__setitem__(1, [1, 0]), NOT_AN_ENTRY),
+        (lambda c: c["table"][1].__setitem__(0, "1"), NOT_AN_ENTRY),
+        (lambda c: c["table"][0][1].pop("im"), NOT_AN_ENTRY),
+        (lambda c: c["table"][1].pop(), NOT_A_TABLE),
+        # the shape is checked before any entry is read
+        (lambda c: (c["table"][1].pop(), c["table"][0][0].update(re="x")), NOT_A_TABLE),
+        (lambda c: c["table"].__setitem__(1, "ab"), NOT_A_TABLE),
+        (lambda c: c["table"].__setitem__(1, 5), NOT_A_TABLE),
+        (lambda c: [row.clear() for row in c["table"]], "character table shape (3, 0) does not match 3 elements"),
+        (lambda c: c.update(table={"0": c["table"][0]}), NOT_A_TABLE),
+        (lambda c: c.update(table=5), NOT_A_TABLE),
     ],
     ids=["int-too-large", "bool", "nan", "list-entry", "string-entry", "no-im", "ragged",
-         "ragged-and-bad", "string-row", "int-row", "empty-rows"],
+         "ragged-and-bad", "string-row", "int-row", "empty-rows", "object-table", "number-table"],
 )
 def test_malformed_character_table_messages(fibonacci, mutate, message):
     doc = oracle_spec(fibonacci, 3)
-    mutate(doc["orbits"][0]["characters"]["table"])
+    mutate(doc["orbits"][0]["characters"])
     with pytest.raises(InvalidDatum) as info:
         parse_restricted_spec(doc)
-    assert str(info.value) == f"bad orbit entry orbits[0]: {message or ragged_message()}"
+    assert str(info.value) == f"bad orbit entry orbits[0]: {message}"
 
 
 def test_parse_restricted_spec_names_the_orbit_of_a_non_string_label(ising):
