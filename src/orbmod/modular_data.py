@@ -29,7 +29,7 @@ import resource
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, pairwise
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -59,9 +59,9 @@ DEFAULT_EPS = 1e-9
 DEFAULT_EPS_INT = 1e-6
 # a vacuum-row entry closer to zero than this makes Verlinde fusion undefined
 _VACUUM_ZERO_TOL = 1e-12
-# products S_il S_jl per matrix product of verlinde_fusion: small data run as
-# one product, and the scratch stays O(N**2) at large N
-_FUSION_BLOCK_PRODUCTS = 2**15
+# entries S_il S_jl (pairs times N) per matrix product of verlinde_fusion:
+# small data run as one product, and the scratch stays O(N**2) at large N
+_FUSION_BLOCK_PRODUCTS = 2**14
 # str() and json.loads refuse ints of more digits than this
 _MAX_DIGITS = 4300
 _DIGITS_BOUND = 10**_MAX_DIGITS
@@ -424,12 +424,13 @@ def _flat_s(raw) -> np.ndarray | None:
         return None
     try:
         parts = list(chain.from_iterable(map(itemgetter("re", "im"), entries)))
-        if set(map(type, parts)) != {str}:
-            return None
+        # a part that is not a str equals no str, so it stays in the set
         texts = set(parts)
+        if set(map(type, texts)) != {str}:
+            return None
         values = map(dict(zip(texts, map(float, texts))).__getitem__, parts)
         values = np.fromiter(values, float, len(parts))
-    except (KeyError, ValueError):
+    except (KeyError, TypeError, ValueError):  # TypeError: an unhashable part
         return None
     if not np.isfinite(values).all():
         return None
@@ -663,7 +664,12 @@ def _t_array(d: ModularDatum) -> np.ndarray:
     return np.array([_phase(num, den) for num, den in _t_angles(d)])
 
 
-def verlinde_fusion(d: ModularDatum, *, keep_table: bool = True) -> FusionTensor:
+def verlinde_fusion(
+    d: ModularDatum,
+    *,
+    keep_table: bool = True,
+    conjugation: np.ndarray | None | str = "from S",
+) -> FusionTensor:
     """Fusion multiplicities ``N[i, j, m] = sum_l S_il S_jl conj(S_ml) / S_0l``.
 
     Raises :class:`InvalidDatum` if a vacuum-row entry is closer to zero than
@@ -671,14 +677,28 @@ def verlinde_fusion(d: ModularDatum, *, keep_table: bool = True) -> FusionTensor
     The returned tensor is rounded; inspect :attr:`FusionTensor.residual`
     and :attr:`FusionTensor.smallest` before trusting the integers.
 
-    Cost: about ``N**4 / 2`` complex multiply-adds, as one matrix product per
-    block of rows ``i`` over the pairs ``j >= i`` (``N[j, i] = N[i, j]``
-    fills the rest), and ``O(block * N**2)`` scratch, where a block holds
-    about ``2**15 / N**2`` rows.  Each block is folded into the residual and
-    the smallest coefficient as it is made.  With ``keep_table=False`` it
-    is then dropped, so the pass holds ``O(N**2)`` memory and the tensor's
+    ``conjugation`` is the charge conjugation ``m -> m̄`` as an int array,
+    for an S that is unitary and symmetric with ``S**2`` a permutation: then
+    ``conj(S_ml) = S_m̄l``, so ``N[i, j, m] = Ñ[i, j, m̄]`` for the totally
+    symmetric ``Ñ[i, j, k] = sum_l S_il S_jl S_kl / S_0l``.  ``None`` sums
+    over ``conj(S)``, for any datum.  By default the map is read off
+    ``S**2`` when the three checks of :func:`validate_modular_datum` pass
+    at :data:`DEFAULT_EPS`, and is ``None`` otherwise.
+
+    The pairs ``i <= j`` (``N[j, i] = N[i, j]``) are taken in blocks of
+    whole columns ``j``, at most ``2**14 // N`` pairs or one column each,
+    and each block is one matrix product.  With a conjugation and more
+    than one block, a block from column ``j0`` on multiplies only the
+    columns ``k >= j0`` of ``S / S_0``, which gives every ``Ñ[i, j, k]``
+    with ``i <= j <= k``: about ``N**4 / 6`` complex multiply-adds.
+    Otherwise every block multiplies all ``N`` columns of ``conj(S) / S_0``:
+    about ``N**4 / 2``.  A block holds at most ``max(2**14, N**2)`` products
+    ``S_il S_jl``, and is folded into the residual and the smallest
+    coefficient as it is made.  With ``keep_table=False`` it is then
+    dropped, so the pass holds ``O(N**2)`` memory and the tensor's
     ``table`` is ``None``; otherwise it is stored in the ``N**3`` integer
-    table.  Both give the same residual, whose last digits depend on the
+    table, which the symmetric form completes slab by slab.  Both give the
+    same residual, whose last digits depend on the form and on the
     summation order of the BLAS build.
     """
     s = d.s_matrix
@@ -687,36 +707,79 @@ def verlinde_fusion(d: ModularDatum, *, keep_table: bool = True) -> FusionTensor
         raise InvalidDatum(
             "vacuum S-matrix row has a near-zero entry; fusion is undefined"
         )
-    w = (s.conj() / s[0]).T  # w[l, m] = conj(S_ml) / S_0l
+    if isinstance(conjugation, str):
+        conjugation = _s_checks(s, DEFAULT_EPS)[-1]
+    cuts = _column_blocks(n)
+    # one block multiplies every column k in either form
+    symmetric = conjugation is not None and len(cuts) > 2
+    w = ((s if symmetric else s.conj()) / s[0]).T  # w[l, k] = S_kl / S_0l, or conj
+    ju = np.repeat(np.arange(n), np.arange(1, n + 1))  # the pairs i <= j, in order of j
+    iu = np.arange(len(ju)) - ju * (ju + 1) // 2
     table = np.empty((n, n, n), dtype=int) if keep_table else None
     residual = 0.0
     smallest = np.inf
-    rows = max(1, _FUSION_BLOCK_PRODUCTS // n**2)
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        pairs = (s[i0:i1, None] * s[i0:]).reshape(-1, n)  # S_il S_jl, j >= i0
-        raw = (pairs @ w).reshape(i1 - i0, n - i0, n)
+    for j0, j1 in pairwise(cuts):
+        pairs = slice(j0 * (j0 + 1) // 2, j1 * (j1 + 1) // 2)
+        i, j = iu[pairs], ju[pairs]
+        k0 = j0 if symmetric else 0
+        raw = (s[i] * s[j]) @ w[:, k0:]
         r = np.rint(raw.real)
         smallest = np.minimum(smallest, r.min())  # keeps a NaN
         raw.real -= r  # the bits of raw - r, without a second block
         residual = np.maximum(residual, abs(raw).max())  # keeps a NaN
         if table is not None:
-            table[i0:i1, i0:] = r
-            table[i0:, i0:i1] = r.transpose(1, 0, 2)
+            table[i, j, k0:] = r
+            table[j, i, k0:] = r
+    if table is not None and symmetric:
+        _complete_table(table, conjugation)
     return FusionTensor(table, residual, smallest)
 
 
-# complex N x N arrays that validate_modular_datum holds at once, S included
+def _column_blocks(n: int) -> list[int]:
+    """The cuts ``0 = j0 < j1 < ... = n`` of the columns ``j`` into the
+    blocks of :func:`verlinde_fusion`: a block holds its columns' pairs
+    ``i <= j``, at most ``2**14 // n`` of them unless it is one column."""
+    most = max(1, _FUSION_BLOCK_PRODUCTS // n)
+    cuts, pairs = [0], 0
+    for j in range(n):
+        if pairs and pairs + j + 1 > most:
+            cuts.append(j)
+            pairs = 0
+        pairs += j + 1
+    cuts.append(n)
+    return cuts
+
+
+def _complete_table(table: np.ndarray, conjugation: np.ndarray) -> None:
+    """Turn, in place, a table that holds ``Ñ[a, b, c]`` wherever
+    ``c >= max(a, b)`` into ``N[a, b, m] = Ñ[a, b, m̄]``, one slab ``a`` at
+    a time.  A slab is symmetric, so below its diagonal the rows ``b >= a``
+    are its transpose, and the entries with ``b, c < a`` are
+    ``Ñ[b, c, a]``, which the finished slabs ``b`` hold at ``m̄ = a``."""
+    n = len(table)
+    below = np.tri(n, k=-1, dtype=bool)
+    permute = (conjugation != np.arange(n)).any()
+    inverse = np.argsort(conjugation)
+    for a in range(n):
+        slab = table[a]
+        np.copyto(slab[a:], slab.T[a:], where=below[a:])  # copies the overlap first
+        slab[:a, :a] = table[:a, :a, inverse[a]]
+        if permute:
+            slab[...] = slab[:, conjugation]
+
+
+# complex N x N arrays that validate_modular_datum holds at once, S included,
+# and the pair indices and slab temporaries of verlinde_fusion
 _VALIDATION_SQUARES = 8
-# bytes per entry of a verlinde_fusion row block: the complex pairs and raw
-# coefficients, and two float arrays of the block's size
+# bytes per entry S_il S_jl of a verlinde_fusion block: the complex pairs and
+# raw coefficients, and two float arrays of the block's size
 _BLOCK_ENTRY_BYTES = 48
 
 
 def validation_bytes(rank: int, *, keep_fusion: bool = False) -> int:
     """Bytes that :func:`validate_modular_datum` holds at most at once for
     a datum of this rank: the complex S-matrix with its few ``rank**2``
-    temporaries and one row block of :func:`verlinde_fusion`, plus with
+    temporaries and one block of :func:`verlinde_fusion`, plus with
     ``keep_fusion`` the ``rank**3`` integer fusion table."""
     need = (
         np.dtype(complex).itemsize * _VALIDATION_SQUARES * rank**2
@@ -729,31 +792,81 @@ def validation_bytes(rank: int, *, keep_fusion: bool = False) -> int:
 
 def _require_memory(rank: int, subject: str, *, keep_fusion: bool = False) -> None:
     """Refuse, before anything is allocated, to validate a datum of this
-    rank when :func:`validation_bytes` exceed physical memory, or what the
-    soft address-space limit (``ulimit -v``) leaves beside the address
-    space the process already maps, when that is set and smaller: raises
-    :class:`InvalidDatum`, whose message names ``subject`` and the bound."""
-    have, taken, bound = _memory_bound()
-    if validation_bytes(rank, keep_fusion=keep_fusion) + taken > have:
+    rank when :func:`validation_bytes` exceed physical memory, the
+    ``memory.max`` of the process's cgroup, or what the soft address-space
+    limit (``ulimit -v``) leaves beside the address space the process
+    already maps, whichever leaves least room (see :func:`_memory_bound`):
+    raises :class:`InvalidDatum`, whose message names ``subject`` and the
+    bound."""
+    need = validation_bytes(rank, keep_fusion=keep_fusion)
+    have, taken, bound = _memory_bound(need)
+    if need + taken > have:
         # str() refuses ints of more than 4300 digits, which k ~ 10**4 reaches
         count = rank if rank < 10**15 else f"about 10^{math.log10(rank):.0f}"
         raise _memory_refusal(subject, count, have, bound)
 
 
-def _memory_bound() -> tuple[int, int, str]:
-    """The bytes that bound a validation, the bytes of them already taken,
-    and their name: physical memory, or the soft ``RLIMIT_AS`` when that
-    is set and leaves less room.  The virtual size of the process counts
-    against the limit (the interpreter, numpy and BLAS map some hundred
-    MB); it is read from ``/proc/self/statm``, and taken as 0 where that
-    cannot be read."""
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+def _memory_bound(need: float = math.inf) -> tuple[int, int, str]:
+    """The bytes that bound a validation needing ``need`` bytes, the bytes
+    of them already taken, and their name: physical memory, the
+    ``memory.max`` of the process's cgroup v2 when that is a number and
+    smaller, or the soft ``RLIMIT_AS`` when that is set and leaves less
+    room.  The virtual size of the process counts against the address-space
+    limit (the interpreter, numpy and BLAS map some hundred MB); it is read
+    from ``/proc/self/statm``, and taken as 0 where that cannot be read.
+
+    The cgroup's files are read only for a need above the peak resident
+    size of the process, which its cgroup has held already: a smaller need
+    cannot exceed ``memory.max``, and the reads cost some 100 µs.
+    ``MemAvailable`` is left out: it moves with the page cache and other
+    processes, so the same command would be refused at one moment and not
+    at the next."""
+    bounds = [(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), 0, "physical memory")]
+    if need > resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024:  # KiB on Linux
+        cgroup = _cgroup_memory_max()
+        if cgroup is not None:
+            bytes_max, path = cgroup
+            bounds.append((bytes_max, 0, f"memory allowed by cgroup {path} (memory.max)"))
     limit = resource.getrlimit(resource.RLIMIT_AS)[0]
     if limit != resource.RLIM_INFINITY:
-        taken = _mapped_bytes()
-        if limit - taken < have:
-            return limit, taken, "address space allowed by RLIMIT_AS"
-    return have, 0, "physical memory"
+        bounds.append((limit, _mapped_bytes(), "address space allowed by RLIMIT_AS"))
+    return min(bounds, key=lambda bound: bound[0] - bound[1])  # the first of a tie
+
+
+def _cgroup_memory_max() -> tuple[int, str] | None:
+    """The ``memory.max`` of the process's cgroup v2 in bytes, with the
+    cgroup's path; ``None`` when it reads ``max`` or a file cannot be read.
+    The cgroup is the ``0::`` line of ``/proc/self/cgroup``, and its
+    directory lies under the ``cgroup2`` mount of ``/proc/self/mountinfo``."""
+    cgroup, mountinfo = _read_proc("/proc/self/cgroup"), _read_proc("/proc/self/mountinfo")
+    if cgroup is None or mountinfo is None:
+        return None
+    paths = [line[3:].rstrip("/") for line in cgroup.splitlines() if line.startswith("0::")]
+    # fields: id, parent, device, root, mount point, options..., "-", type, ...
+    mounts = [
+        fields[3:5]
+        for fields in map(str.split, mountinfo.splitlines())
+        if "-" in fields[:-1] and fields[fields.index("-") + 1] == "cgroup2"
+    ]
+    if not paths or not mounts:
+        return None
+    path, (root, point) = paths[0], mounts[0]
+    root = root.rstrip("/")
+    if not (path + "/").startswith(root + "/"):
+        return None
+    text = _read_proc(f"{point}{path[len(root):]}/memory.max")
+    if text is None or not text.strip().isdigit():
+        return None
+    return int(text), path or "/"
+
+
+def _read_proc(path: str) -> str | None:
+    """The text of a file under ``/proc`` or ``/sys``, or ``None``."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, ValueError):
+        return None
 
 
 def _mapped_bytes() -> int:
@@ -783,17 +896,35 @@ def quantum_dimensions(d: ModularDatum) -> tuple[np.ndarray, float]:
     return qdim, float(np.sum(qdim**2))
 
 
-def _permutation_residual(p: np.ndarray) -> tuple[float, bool]:
-    """Distance of ``p`` from the nearest 0/1 matrix, and whether that
-    rounding is a permutation matrix."""
-    rounded = np.round(p.real)
-    residual = float(np.max(np.abs(p - rounded)))
-    is_perm = (
+def _s_checks(
+    s: np.ndarray, eps: float
+) -> tuple[CheckResult, CheckResult, CheckResult, np.ndarray, np.ndarray | None]:
+    """The ``unitary``, ``symmetric`` and ``charge_conjugation`` checks of
+    S, then ``S**2`` and the charge conjugation ``m -> m̄`` read off its
+    rounding (``None`` unless all three pass).  Together they give
+    ``S**-1 = conj(S).T = conj(S)`` and ``S**-1 = C**-1 S`` for the
+    permutation matrix ``C = S**2``, so ``conj(S_ml) = S_m̄l`` with
+    ``C[m̄, m] = 1``."""
+    n = len(s)
+    res = float(np.max(np.abs(s @ s.conj().T - np.eye(n))))
+    unitary = CheckResult("unitary", res <= eps, res)
+
+    res = float(np.max(np.abs(s - s.T)))
+    symmetric = CheckResult("symmetric", res <= eps, res)
+
+    s2 = s @ s
+    rounded = np.round(s2.real)
+    res = float(np.max(np.abs(s2 - rounded)))
+    is_perm = bool(
         np.all((rounded == 0) | (rounded == 1))
         and np.all(rounded.sum(axis=0) == 1)
         and np.all(rounded.sum(axis=1) == 1)
     )
-    return residual, bool(is_perm)
+    detail = "" if is_perm else "rounded S^2 is not a permutation matrix"
+    charge = CheckResult("charge_conjugation", res <= eps and is_perm, res, detail)
+
+    passed = unitary.passed and symmetric.passed and charge.passed
+    return unitary, symmetric, charge, s2, rounded.argmax(axis=0) if passed else None
 
 
 def validate_modular_datum(
@@ -823,13 +954,8 @@ def validate_modular_datum(
     """
     s = d.s_matrix
     n = d.rank
-    checks = []
-
-    res = float(np.max(np.abs(s @ s.conj().T - np.eye(n))))
-    checks.append(CheckResult("unitary", res <= eps, res))
-
-    res = float(np.max(np.abs(s - s.T)))
-    checks.append(CheckResult("symmetric", res <= eps, res))
+    unitary, symmetric, charge, s2, conjugation = _s_checks(s, eps)
+    checks = [unitary, symmetric]
 
     imag = float(np.max(np.abs(s[0].imag)))
     min_re = float(np.min(s[0].real))
@@ -842,10 +968,7 @@ def validate_modular_datum(
         )
     )
 
-    s2 = s @ s
-    res, is_perm = _permutation_residual(s2)
-    detail = "" if is_perm else "rounded S^2 is not a permutation matrix"
-    checks.append(CheckResult("charge_conjugation", res <= eps and is_perm, res, detail))
+    checks.append(charge)
 
     st = s * _t_array(d)  # S T: column j scaled by T_jj
     rel = np.linalg.matrix_power(st, 3)
@@ -859,7 +982,7 @@ def validate_modular_datum(
     checks.append(CheckResult("modular_relation", res <= eps, res, detail))
 
     try:
-        fusion = verlinde_fusion(d, keep_table=keep_fusion)
+        fusion = verlinde_fusion(d, keep_table=keep_fusion, conjugation=conjugation)
     except InvalidDatum as exc:
         fusion = None
         checks.append(CheckResult("fusion_integrality", False, float("inf"), str(exc)))

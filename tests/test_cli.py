@@ -739,6 +739,78 @@ def test_mapped_bytes_reads_the_virtual_size():
     assert modular_data._mapped_bytes() > 2**20
 
 
+CGROUP_MOUNT = "42 24 0:38 {root} {point} rw,nosuid shared:9 - cgroup2 cgroup2 rw\n"
+
+
+def cgroup_files(limits, root="/", point="/sys/fs/cgroup", cgroup="/jobs/run1"):
+    """What the reader finds: the process's cgroup, the mounts, and the
+    ``memory.max`` of each cgroup directory named in ``limits``."""
+    files = {
+        "/proc/self/cgroup": f"4:memory:/v1-ignored\n0::{cgroup}\n",
+        "/proc/self/mountinfo": "24 1 0:22 / /sys rw - sysfs sysfs rw\n"
+        + CGROUP_MOUNT.format(root=root, point=point),
+    }
+    files.update({f"{point}{d}/memory.max": text for d, text in limits.items()})
+    return files
+
+
+@pytest.mark.parametrize(
+    "files, expected",
+    [
+        (cgroup_files({"/jobs/run1": "1073741824\n"}), (2**30, "/jobs/run1")),
+        # "max", or no file to read: no bound
+        (cgroup_files({"/jobs/run1": "max\n", "/jobs": "4096\n"}), None),
+        (cgroup_files({"/jobs": "4096\n"}), None),
+        ({"/proc/self/mountinfo": CGROUP_MOUNT.format(root="/", point="/sys/fs/cgroup")}, None),
+        ({"/proc/self/cgroup": "0::/\n"}, None),
+        # cgroup v1 only: no "0::" line, or no cgroup2 mount
+        ({**cgroup_files({"/jobs/run1": "4096\n"}), "/proc/self/cgroup": "4:memory:/\n"}, None),
+        ({**cgroup_files({"/jobs/run1": "4096\n"}),
+          "/proc/self/mountinfo": "24 1 0:22 / /sys rw - sysfs sysfs rw\n"}, None),
+        # the root cgroup, and a mount of a subtree (a cgroup namespace
+        # seen from outside), whose directories drop the subtree's path
+        (cgroup_files({"": "4096\n"}, cgroup="/"), (4096, "/")),
+        (cgroup_files({"/run1": "4096\n"}, root="/jobs"), (4096, "/jobs/run1")),
+        (cgroup_files({"/jobs/run1": "4096\n"}, root="/other"), None),
+    ],
+)
+def test_cgroup_memory_max(monkeypatch, files, expected):
+    monkeypatch.setattr(modular_data, "_read_proc", files.get)
+    assert modular_data._cgroup_memory_max() == expected
+
+
+def test_fusion_refuses_a_table_beyond_the_cgroup_memory_max(runner, monkeypatch):
+    # memory.max below what the 3^3 table needs, far below physical memory;
+    # the process has held less than that so far, so the cgroup is read
+    limit = modular_data.validation_bytes(3, keep_fusion=True) - 1
+    files = cgroup_files({"/jobs/run1": f"{limit}\n"})
+    monkeypatch.setattr(modular_data, "_read_proc", files.get)
+    monkeypatch.setattr(resource, "getrusage", lambda who: resource.struct_rusage((0,) * 16))
+    result = runner.invoke(main, ["fusion", ising_path()])
+    assert result.exit_code == 2
+    assert result.stderr == (
+        f"error: {ising_path()} has 3 modules; validating it needs more than the "
+        f"{limit / 2**30:.3g} GiB of memory allowed by cgroup /jobs/run1 (memory.max)\n"
+    )
+    assert runner.invoke(main, ["check", ising_path()]).exit_code == 0
+    # "max" keeps physical memory as the bound
+    files["/sys/fs/cgroup/jobs/run1/memory.max"] = "max\n"
+    assert runner.invoke(main, ["fusion", ising_path()]).exit_code == 0
+
+
+def test_needs_below_the_resident_size_leave_the_cgroup_unread(runner, monkeypatch):
+    # a process holds its resident size inside its cgroup already; the
+    # files cost some 100 µs, so ops that need less do not read them
+    def unread(path):
+        raise AssertionError(path)
+
+    monkeypatch.setattr(modular_data, "_read_proc", unread)
+    assert runner.invoke(main, ["fusion", ising_path()]).exit_code == 0
+    assert modular_data._memory_bound(2**20)[2] == "physical memory"
+    with pytest.raises(AssertionError, match="/proc/self/cgroup"):
+        modular_data._memory_bound(2**60)
+
+
 # ---------------------------------------------------------------------------
 # restricted
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ GOLDEN = {
     "orbfusion-ising-2-csv": "20c208b2bfce830549aa3f3003cdf3557fc07c742f2f74b1346ccd417969b294",
     "orbfusion-ising-3-csv": "8d45175924ce7d45df7a994da1688d8983992f4b739f256cd3e6eba071b798f4",
     # the 35^3 table as nested JSON lists, with the residual of this build
-    "orbfusion-ising-3-json": "c78b27f198725c70eea0a2bfc5984d6b5fb2458014fd67e84026eb13a8b37800",
+    "orbfusion-ising-3-json": "831f5bfff42c37f7fbb4a492c9ebd4a59d20e1d275c579d484a85943c36ff5c7",
     # a generated source whose S has nonzero imaginary parts
     "permsrc-u1:4-2": "06afb2a0aede2b22249eac756188881c0b42a366fc1bef46f1a1c25dc3865cf5",
     "tmatrix-ising-pretty": "16fd2f6b67a4cc1b0fded8601fc8524c0db60e4684bd47564fa9a9fd2c6025d7",

@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from functools import cache
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from numpy.testing import assert_allclose
 
 from orbmod import fixtures, modular_data
 from orbmod.modular_data import (
+    DEFAULT_EPS,
     DEFAULT_EPS_INT,
     CheckResult,
     FusionTensor,
@@ -310,6 +312,30 @@ def test_flat_parse_takes_clean_documents():
     assert modular_data._flat_s(raw) is None
 
 
+@pytest.mark.parametrize(
+    "part, message",
+    [
+        (True, "bad decimal value True in S[1][2]"),
+        (1, None),
+        (0.5, None),
+        ({"x": "1"}, "bad decimal value {'x': '1'} in S[1][2]"),
+        (["1"], "bad decimal value ['1'] in S[1][2]"),
+    ],
+)
+def test_part_that_is_not_a_string_takes_the_per_entry_path(part, message):
+    # a number part is read as a number, any other part is refused, with
+    # the message of the per-entry parse; unhashable parts included
+    doc = modular_datum_to_dict(fixtures.load("ising"))
+    doc["S"][1][2] = {"re": part, "im": "0"}
+    assert modular_data._flat_s(doc["S"]) is None
+    if message is None:
+        assert parse_modular_datum(doc).s_matrix.tobytes() == parse_entry_by_entry(doc).tobytes()
+    else:
+        with pytest.raises(InvalidDatum) as caught:
+            parse_modular_datum(doc)
+        assert str(caught.value) == message
+
+
 def test_flat_parse_reads_rectangular_rows_only():
     one, half = {"re": "1", "im": "0"}, {"re": "0.5", "im": "-0.5"}
     flat = modular_data._flat_s([[one, half, one], [half, one, half]])
@@ -530,9 +556,10 @@ def family_datum(name, k):
     return d if k == 1 else build_orbifold_datum(d, k, "minus").datum
 
 
-def einsum_fusion(d, keep_table=True):
-    """Oracle: the three-operand einsum, rounded the way the library rounds;
-    it always keeps its table."""
+def einsum_fusion(d, keep_table=True, conjugation=None):
+    """Oracle: the three-operand einsum over ``conj(S)``, rounded the way
+    the library rounds; it always keeps its table and ignores the
+    conjugation that validation hands the kernel."""
     s = d.s_matrix
     raw = np.einsum("il,jl,ml->ijm", s, s, s.conj() / s[0])
     rounded = np.round(raw.real)
@@ -569,6 +596,103 @@ def test_fusion_matches_einsum_oracle(name, k, rank, monkeypatch):
     monkeypatch.setattr(modular_data, "verlinde_fusion", einsum_fusion)
     assert verdicts(report) == verdicts(validate_modular_datum(d))
     assert report.ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 39, 85, 99, 181, 428])
+def test_fusion_blocks_are_whole_columns_of_few_pairs(n):
+    cuts = modular_data._column_blocks(n)
+    assert cuts[0] == 0 and cuts[-1] == n
+    most = max(1, 2**14 // n)
+    for j0, j1 in pairwise(cuts):
+        pairs = (j1 * (j1 + 1) - j0 * (j0 + 1)) // 2  # i <= j for j0 <= j < j1
+        assert pairs <= most or j1 == j0 + 1
+        assert j1 == n or pairs + j1 + 1 > most  # the next column did not fit
+    # one block multiplies every column, so only larger data take the
+    # symmetric form's saving
+    assert (len(cuts) == 2) == (n <= 31)
+
+
+@pytest.fixture
+def completed(monkeypatch):
+    """The conjugations with which verlinde_fusion completes symmetric-form
+    tables, one per table: it does so only in that form."""
+    calls = []
+    complete = modular_data._complete_table
+    monkeypatch.setattr(
+        modular_data, "_complete_table", lambda t, c: calls.append(c) or complete(t, c)
+    )
+    return calls
+
+
+# U(1)_{2m} and Deligne data whose charge conjugation is not the identity,
+# at ranks of one and of several blocks
+CONJUGATE_CASES = [
+    ("u1_4", 1, 4), ("u1_4", 2, 22), ("u1_4", 3, 56),
+    ("u1_6", 1, 6), ("u1_6", 2, 39), ("u1_8", 1, 8), ("u1_8", 2, 60),
+    ("su2_1*u1_4", 1, 8), ("su2_1*u1_4", 2, 60), ("su2_1*u1_2", 3, 56),
+]
+
+
+@pytest.mark.parametrize("name,k,rank", CONJUGATE_CASES)
+def test_symmetric_form_keeps_the_table_under_conjugation(name, k, rank, completed):
+    d = family_datum(name, k)
+    assert d.rank == rank
+    conjugation = modular_data._s_checks(d.s_matrix, DEFAULT_EPS)[-1]
+    assert (conjugation != np.arange(rank)).any()
+    oracle = einsum_fusion(d)
+    report = validate_modular_datum(d, keep_fusion=True)
+    assert report.ok
+    for tensor in (report.fusion, verlinde_fusion(d), verlinde_fusion(d, conjugation=None)):
+        assert np.array_equal(tensor.table, oracle.table)
+        assert abs(tensor.residual - oracle.residual) <= 1e-13
+    # the symmetric form ran, with the conjugation read off S^2, whenever
+    # there was more than one block
+    symmetric = len(modular_data._column_blocks(rank)) > 2
+    assert len(completed) == 2 * symmetric
+    assert all(np.array_equal(c, conjugation) for c in completed)
+
+
+def off_form_data():
+    """Data on either side of the three checks that select the symmetric
+    form: each fails one of them, or passes ``symmetric`` only within 1e-12."""
+    d = family_datum("u1_4", 3)  # N = 56, complex S, nontrivial conjugation
+    s = d.s_matrix
+    skew = np.random.default_rng(20).uniform(-0.5, 0.5, s.shape)
+    skew -= skew.T
+    real = family_datum("su2_5", 2)  # N = 39, real S, two blocks
+    return {
+        "not unitary": (d, s * 1.001),
+        "not symmetric": (d, s + 1e-6 * skew),
+        "S^2 not a permutation": (d, s * np.exp(0.1j)),
+        # for a real S with m̄ = m both forms sum the same terms
+        "symmetric within 1e-12": (real, real.s_matrix + 0.5e-12 * skew[:39, :39]),
+    }
+
+
+@pytest.mark.parametrize("case", list(off_form_data()))
+def test_off_form_data_keep_the_oracle_verdicts(case, completed, monkeypatch):
+    d, s = off_form_data()[case]
+    d = ModularDatum(d.central_charge, d.modules, s)
+    report = validate_modular_datum(d)
+    kept = validate_modular_datum(d, keep_fusion=True)
+    # only the datum that passes the three checks takes the symmetric form
+    assert bool(completed) == (case == "symmetric within 1e-12")
+    monkeypatch.setattr(modular_data, "verlinde_fusion", einsum_fusion)
+    oracle = validate_modular_datum(d, keep_fusion=True)
+    assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+        (c.name, c.passed, c.detail) for c in oracle.checks
+    ]
+    fusion = report["fusion_integrality"]
+    assert abs(fusion.residual - oracle["fusion_integrality"].residual) <= 1e-13
+    assert check_bits(fusion) == check_bits(kept["fusion_integrality"])
+    assert np.array_equal(kept.fusion.table, oracle.fusion.table)
+    symmetric = report["symmetric"]
+    assert symmetric.passed == (case != "not symmetric")
+    if case == "symmetric within 1e-12":
+        assert 1e-13 < symmetric.residual <= 1e-12 and report.ok
+        assert 1e-13 < fusion.residual < 1e-10
+    else:
+        assert not report.ok
 
 
 def table_path_check(d):
