@@ -414,7 +414,8 @@ def _flat_s(raw) -> np.ndarray | None:
 
     Every part must be a string, as orbmod writes them; a document with
     number parts takes the per-entry path.  Each distinct text is converted
-    once and then looked up: S-matrices repeat few values."""
+    once and then looked up (S-matrices repeat few values), one pass for
+    the ``"re"`` column of the result and one for the ``"im"`` column."""
     if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
         return None
     if len(set(map(len, raw))) > 1:
@@ -423,13 +424,17 @@ def _flat_s(raw) -> np.ndarray | None:
     if set(map(type, entries)) != {dict}:
         return None
     try:
-        parts = list(chain.from_iterable(map(itemgetter("re", "im"), entries)))
+        re = list(map(itemgetter("re"), entries))
+        im = list(map(itemgetter("im"), entries))
         # a part that is not a str equals no str, so it stays in the set
-        texts = set(parts)
+        texts = set(re)
+        texts.update(im)
         if set(map(type, texts)) != {str}:
             return None
-        values = map(dict(zip(texts, map(float, texts))).__getitem__, parts)
-        values = np.fromiter(values, float, len(parts))
+        value = dict(zip(texts, map(float, texts))).__getitem__
+        values = np.empty((len(entries), 2))
+        values[:, 0] = np.fromiter(map(value, re), float, len(re))
+        values[:, 1] = np.fromiter(map(value, im), float, len(im))
     except (KeyError, TypeError, ValueError):  # TypeError: an unhashable part
         return None
     if not np.isfinite(values).all():
@@ -590,6 +595,7 @@ def _grid_chunks(
     and each run of rows of one kind is cut at its head's padding.
     Otherwise dropping the NULs leaves the text: JSON strings hold none, as
     they are written through ``encode_basestring_ascii``."""
+    digits = False  # whether every leaf is one of the digits 0-9
     if m.dtype.kind == "c":
         parts = np.stack([m.imag, m.real], dtype=np.float64)
         # over the bit patterns, so that 0.0 and -0.0 stay apart
@@ -602,6 +608,7 @@ def _grid_chunks(
         table = _SMALL_INTS[:, :len(str(high))]
         slots, pieces = [m], ["", ""]
         same_width = len(str(low)) == len(str(high))
+        digits = high < 10
     else:
         values, slots = np.unique(m, return_inverse=True)
         table = _text_rows(map(int.__repr__, values.tolist()))
@@ -619,7 +626,10 @@ def _grid_chunks(
     grid[:, :heads.shape[1]] = heads[kinds]
     cells = grid[:, indent:].reshape(rows, cols, len(cell))  # a view
     for offset, index in zip(offsets, slots):
-        cells[:, :, offset:offset + table.shape[1]] = table[index]
+        if digits:  # a digit's byte is its value plus ord("0")
+            np.add(index, ord("0"), out=cells[:, :, offset], casting="unsafe")
+        else:
+            cells[:, :, offset:offset + table.shape[1]] = table[index]
     if not same_width:
         yield grid[grid != 0].tobytes()
         return
@@ -687,7 +697,11 @@ def verlinde_fusion(
 
     The pairs ``i <= j`` (``N[j, i] = N[i, j]``) are taken in blocks of
     whole columns ``j``, at most ``2**14 // N`` pairs or one column each,
-    and each block is one matrix product.  With a conjugation and more
+    and each block is one matrix product of its rows ``S_il S_jl``, in
+    order of ``j`` and then ``i``.  The first block, whose columns are
+    short, gathers those rows by its pair indices; every later block
+    multiplies ``S[:j + 1]`` by ``S[j]`` once per column ``j``, into one
+    scratch array that the call allocates once.  With a conjugation and more
     than one block, a block from column ``j0`` on multiplies only the
     columns ``k >= j0`` of ``S / S_0``, which gives every ``Ñ[i, j, k]``
     with ``i <= j <= k``: about ``N**4 / 6`` complex multiply-adds.
@@ -713,26 +727,45 @@ def verlinde_fusion(
     # one block multiplies every column k in either form
     symmetric = conjugation is not None and len(cuts) > 2
     w = ((s if symmetric else s.conj()) / s[0]).T  # w[l, k] = S_kl / S_0l, or conj
-    ju = np.repeat(np.arange(n), np.arange(1, n + 1))  # the pairs i <= j, in order of j
-    iu = np.arange(len(ju)) - ju * (ju + 1) // 2
     table = np.empty((n, n, n), dtype=int) if keep_table else None
-    residual = 0.0
-    smallest = np.inf
-    for j0, j1 in pairwise(cuts):
-        pairs = slice(j0 * (j0 + 1) // 2, j1 * (j1 + 1) // 2)
-        i, j = iu[pairs], ju[pairs]
+    # S_il is the left factor of every product: numpy's complex multiply
+    # need not commute bit for bit.  The first block's columns are short,
+    # so gathering its pairs i <= j (in order of j) costs less than a
+    # multiply per column.
+    pair_j, pair_i = np.nonzero(np.tri(cuts[1], dtype=bool))
+    r, residual, smallest = _rounded((s[pair_i] * s[pair_j]) @ w, 0.0, np.inf)
+    if table is not None:
+        table[pair_i, pair_j] = r
+        table[pair_j, pair_i] = r
+    later = list(pairwise(cuts[1:]))
+    if later:  # one scratch for the products S_il S_jl of each later block
+        most = max((j1 * (j1 + 1) - j0 * (j0 + 1)) // 2 for j0, j1 in later)
+        products = np.empty((most, n), complex)
+    for j0, j1 in later:
         k0 = j0 if symmetric else 0
-        raw = (s[i] * s[j]) @ w[:, k0:]
-        r = np.rint(raw.real)
-        smallest = np.minimum(smallest, r.min())  # keeps a NaN
-        raw.real -= r  # the bits of raw - r, without a second block
-        residual = np.maximum(residual, abs(raw).max())  # keeps a NaN
+        # column j's pairs i <= j are the rows a:b of the block
+        starts = [(j * (j + 1) - j0 * (j0 + 1)) // 2 for j in range(j0, j1 + 1)]
+        columns = list(zip(range(j0, j1), pairwise(starts)))
+        for j, (a, b) in columns:
+            np.multiply(s[:j + 1], s[j], out=products[a:b])
+        r, residual, smallest = _rounded(products[:starts[-1]] @ w[:, k0:], residual, smallest)
         if table is not None:
-            table[i, j, k0:] = r
-            table[j, i, k0:] = r
+            for j, (a, b) in columns:
+                table[:j + 1, j, k0:] = r[a:b]
+                table[j, :j + 1, k0:] = r[a:b]
     if table is not None and symmetric:
         _complete_table(table, conjugation)
     return FusionTensor(table, residual, smallest)
+
+
+def _rounded(raw: np.ndarray, residual, smallest) -> tuple[np.ndarray, float, float]:
+    """The raw Verlinde coefficients ``raw`` rounded, and ``residual`` and
+    ``smallest`` folded with their distance from the rounding and their
+    smallest rounded value; ``raw`` is overwritten."""
+    r = np.rint(raw.real)
+    raw.real -= r  # the bits of raw - r, without a second block
+    # np.maximum and np.minimum keep a NaN
+    return r, np.maximum(residual, abs(raw).max()), np.minimum(smallest, r.min())
 
 
 def _column_blocks(n: int) -> list[int]:
@@ -752,28 +785,32 @@ def _column_blocks(n: int) -> list[int]:
 
 def _complete_table(table: np.ndarray, conjugation: np.ndarray) -> None:
     """Turn, in place, a table that holds ``Ñ[a, b, c]`` wherever
-    ``c >= max(a, b)`` into ``N[a, b, m] = Ñ[a, b, m̄]``, one slab ``a`` at
-    a time.  A slab is symmetric, so below its diagonal the rows ``b >= a``
-    are its transpose, and the entries with ``b, c < a`` are
-    ``Ñ[b, c, a]``, which the finished slabs ``b`` hold at ``m̄ = a``."""
+    ``c >= max(a, b)`` into ``N[a, b, m] = Ñ[a, b, m̄]``.  Each slab ``a``
+    is symmetric, so below its diagonal the rows ``b >= a`` are its
+    transpose, and the entries with ``b, c < a`` are ``Ñ[b, a, c]``, the
+    rows ``a`` of the slabs ``b`` completed before it.  Then each slab's
+    columns ``m̄`` are taken: for a symmetric slab they are its rows ``m̄``
+    transposed, which numpy gathers faster."""
     n = len(table)
     below = np.tri(n, k=-1, dtype=bool)
-    permute = (conjugation != np.arange(n)).any()
-    inverse = np.argsort(conjugation)
     for a in range(n):
         slab = table[a]
         np.copyto(slab[a:], slab.T[a:], where=below[a:])  # copies the overlap first
-        slab[:a, :a] = table[:a, :a, inverse[a]]
-        if permute:
-            slab[...] = slab[:, conjugation]
+        slab[:a, :a] = table[:a, a, :a]
+    if (conjugation != np.arange(n)).any():
+        for slab in table:
+            slab[...] = slab[conjugation].T
 
 
 # complex N x N arrays that validate_modular_datum holds at once, S included,
-# and the pair indices and slab temporaries of verlinde_fusion
+# and the W and slab temporaries of verlinde_fusion
 _VALIDATION_SQUARES = 8
-# bytes per entry S_il S_jl of a verlinde_fusion block: the complex pairs and
-# raw coefficients, and two float arrays of the block's size
-_BLOCK_ENTRY_BYTES = 48
+# bytes per entry S_il S_jl of a verlinde_fusion block, at most: its complex
+# products (the scratch that the later blocks share) and raw coefficients,
+# its rounded coefficients and their distances (float), and the previous
+# block's rounded coefficients until the new ones replace them.  The first
+# block's two gathered factors are freed before its raw coefficients exist.
+_BLOCK_ENTRY_BYTES = 56
 
 
 def validation_bytes(rank: int, *, keep_fusion: bool = False) -> int:

@@ -195,6 +195,30 @@ def test_dump_json_array_edge_values():
     assert dump(doc) == reference(plain(doc))
 
 
+# the edges of the encoder's int branches: digits only (max 9), the small-int
+# table (max 10, min 0), and the texts of the distinct values (min -1)
+EDGE_INT_VALUES = {
+    "max 9": [3, 9, 0],
+    "max 10": [3, 10, 0],
+    "min 0": [0, 5],
+    "min -1": [-1, 5, 9],
+    "zeros": [0],
+}
+
+
+@pytest.mark.parametrize("shape", [(0,), (3,), (3, 3), (2, 3, 4)])
+@pytest.mark.parametrize(
+    "values, dtype",
+    [(name, dtype) for name in EDGE_INT_VALUES for dtype in (np.int64, np.int32, np.uint8)
+     if not (name == "min -1" and dtype == np.uint8)],
+)
+def test_dump_json_writes_int_arrays_at_the_branch_edges(values, dtype, shape):
+    a = np.resize(np.array(EDGE_INT_VALUES[values], dtype), shape)
+    if a.size >= 3:
+        assert set(a.flat) == set(EDGE_INT_VALUES[values])
+    assert dump(a) == json.dumps(a.tolist(), indent=2) + "\n"
+
+
 def test_dump_json_edge_values():
     doc = {
         "": [],

@@ -345,6 +345,52 @@ def test_flat_parse_reads_rectangular_rows_only():
     assert modular_data._flat_s({"re": "1", "im": "0"}) is None
 
 
+def entry_document(entry):
+    """A 2 x 2 S whose entry [1][0] is ``entry``; the other entries share
+    their texts with it and hold both signs of zero."""
+    doc = s_document([[("0.5", "-0.0"), ("0.0", "0.5")], [("0", "0"), ("-0.0", "0.0")]])
+    doc["S"][1][0] = entry
+    return doc
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"re": "0.5", "im": "-0.25"},
+        {"im": "-0.25", "re": "0.5"},
+        {"note": "1", "re": "0.5", "label": "x", "im": "-0.25", "z": None},
+        {"re": "0.5", "im": "0.5"},
+        {"re": "-0.0", "im": "0.0"},
+        {"re": "0.0", "im": "-0.0"},
+        {"re": "1_0", "im": "-2_5.0_1"},
+    ],
+    ids=["re-first", "im-first", "extra-keys", "one-text", "-0.0,0.0", "0.0,-0.0", "underscores"],
+)
+def test_flat_parse_reads_each_part_as_the_per_entry_parse(entry):
+    doc = entry_document(entry)
+    flat = modular_data._flat_s(doc["S"])
+    assert flat is not None
+    assert np.array_equal(flat.view(np.int64), parse_entry_by_entry(doc).view(np.int64))
+    assert float(entry["re"]) == flat[1, 0].real and float(entry["im"]) == flat[1, 0].imag
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"re": "nan", "im": "0"}, "non-finite complex value {'re': 'nan', 'im': '0'} in S[1][0]"),
+        ({"re": "1"}, 'expected {"re": ..., "im": ...} in S[1][0]'),
+        ({"re": "1", "im": None}, "bad decimal value None in S[1][0]"),
+        ({"re": b"1", "im": "0"}, "bad decimal value b'1' in S[1][0]"),
+    ],
+)
+def test_entries_the_flat_parse_refuses_keep_their_messages(entry, message):
+    doc = entry_document(entry)
+    assert modular_data._flat_s(doc["S"]) is None
+    with pytest.raises(InvalidDatum) as caught:
+        parse_modular_datum(doc)
+    assert str(caught.value) == message
+
+
 def test_serialization_round_trip(ising):
     back = parse_modular_datum(json.dumps(modular_datum_to_dict(ising)))
     assert back.central_charge == ising.central_charge
@@ -610,6 +656,112 @@ def test_fusion_blocks_are_whole_columns_of_few_pairs(n):
     # one block multiplies every column, so only larger data take the
     # symmetric form's saving
     assert (len(cuts) == 2) == (n <= 31)
+
+
+def gather_fusion(d, keep_table=True, conjugation="from S", blocks=None):
+    """Reference: ``verlinde_fusion`` as it gathered each block's products
+    ``S_il S_jl`` by the pair indices ``i <= j``, one fancy index per
+    factor, with the same blocks, forms and matrix products.  Each block's
+    raw coefficients are appended to ``blocks`` when it is given."""
+    s = d.s_matrix
+    n = d.rank
+    if isinstance(conjugation, str):
+        conjugation = modular_data._s_checks(s, DEFAULT_EPS)[-1]
+    cuts = modular_data._column_blocks(n)
+    symmetric = conjugation is not None and len(cuts) > 2
+    w = ((s if symmetric else s.conj()) / s[0]).T
+    ju = np.repeat(np.arange(n), np.arange(1, n + 1))
+    iu = np.arange(len(ju)) - ju * (ju + 1) // 2
+    table = np.empty((n, n, n), dtype=int) if keep_table else None
+    residual, smallest = 0.0, np.inf
+    for j0, j1 in pairwise(cuts):
+        pairs = slice(j0 * (j0 + 1) // 2, j1 * (j1 + 1) // 2)
+        i, j = iu[pairs], ju[pairs]
+        k0 = j0 if symmetric else 0
+        raw = (s[i] * s[j]) @ w[:, k0:]
+        if blocks is not None:
+            blocks.append(raw.copy())
+        r = np.rint(raw.real)
+        smallest = np.minimum(smallest, r.min())
+        raw.real -= r
+        residual = np.maximum(residual, abs(raw).max())
+        if table is not None:
+            table[i, j, k0:] = r
+            table[j, i, k0:] = r
+    if table is not None and symmetric:
+        # Ñ[a, b, c] is held at its sorted indices; N[a, b, m] = Ñ[a, b, m̄]
+        full = np.empty_like(table)
+        b, c = np.indices((n, n))
+        for a in range(n):
+            x, y, z = np.sort(np.stack([np.full_like(b, a), b, c]), axis=0)
+            full[a] = table[x, y, z][:, conjugation]
+        table = full
+    return FusionTensor(table, residual, smallest)
+
+
+def random_datum(n, seed):
+    """A datum of ``n`` modules whose complex S has no structure at all."""
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    s[0] = np.abs(s[0]) + 0.5
+    modules = [ModuleInfo(str(i), Fraction(i, n)) for i in range(n)]
+    return ModularDatum(Fraction(0), modules, s)
+
+
+def fusion_bits(tensor):
+    return (
+        np.float64(tensor.residual).view(np.int64),
+        np.float64(tensor.smallest).view(np.int64),
+    )
+
+
+def assert_same_fusion(d, monkeypatch, conjugation="from S"):
+    """``verlinde_fusion`` and the gather form give the same tensor, and
+    every block's raw coefficients have the same bits."""
+    blocks = []
+    rounded = modular_data._rounded
+    monkeypatch.setattr(
+        modular_data, "_rounded", lambda raw, *folded: blocks.append(raw.copy()) or rounded(raw, *folded)
+    )
+    for keep in (False, True):
+        blocks.clear()
+        expected = []
+        new = verlinde_fusion(d, keep_table=keep, conjugation=conjugation)
+        old = gather_fusion(d, keep_table=keep, conjugation=conjugation, blocks=expected)
+        assert len(blocks) == len(expected) == len(modular_data._column_blocks(d.rank)) - 1
+        for raw, reference in zip(blocks, expected):
+            assert raw.shape == reference.shape
+            assert np.array_equal(raw.view(np.int64), reference.view(np.int64))
+        assert fusion_bits(new) == fusion_bits(old)
+        if keep:
+            assert new.table.dtype == old.table.dtype
+            assert np.array_equal(new.table, old.table)
+        else:
+            assert new.table is None
+
+
+@pytest.mark.parametrize("name,k,rank", [("ising", 3, 35), ("fibonacci", 5, 56), ("ising", 5, 123)])
+def test_fusion_has_the_bits_of_the_gathered_products(name, k, rank, monkeypatch):
+    d = build_orbifold_datum(fixtures.load(name), k, "minus").datum
+    assert d.rank == rank
+    conjugation = modular_data._s_checks(d.s_matrix, DEFAULT_EPS)[-1]
+    assert (conjugation != np.arange(rank)).any()  # a nontrivial m̄
+    assert_same_fusion(d, monkeypatch)
+    # a row scaled so that S fails `unitary`: the conj(S) form
+    s = np.array(d.s_matrix)
+    s[rank // 2] *= 1.001
+    broken = ModularDatum(d.central_charge, d.modules, s)
+    assert modular_data._s_checks(s, DEFAULT_EPS)[-1] is None
+    assert_same_fusion(broken, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [*range(1, 32), 32, 40])
+def test_fusion_of_small_data_has_the_bits_of_the_gathered_products(n, monkeypatch):
+    # one block up to N = 31; the raw products of an unstructured S, in both
+    # forms, with an arbitrary conjugation handed to the kernel
+    d = random_datum(n, seed=n)
+    assert_same_fusion(d, monkeypatch, conjugation=None)
+    assert_same_fusion(d, monkeypatch, conjugation=np.random.default_rng(n).permutation(n))
 
 
 @pytest.fixture
