@@ -99,14 +99,19 @@ def _load_datum(path: str) -> ModularDatum:
         _fail_input(f"{path}: {exc}")
 
 
-def _check_memory(rank: int, subject: str, *, keep_fusion: bool = False) -> None:
-    """Exit 2, before anything is allocated, when validating a datum of
-    this rank would need more memory than the machine has or allows (see
+def _validated(
+    path: str, eps: float, eps_int: float, *, keep_fusion: bool = False
+) -> tuple[ModularDatum, ValidationReport]:
+    """The datum of the file ``path`` and its validation report.  Exits 2
+    on an input error, and, before anything is allocated, when validating
+    the datum would need more memory than the machine has or allows (see
     :func:`orbmod.modular_data.validation_bytes`)."""
+    datum = _load_datum(path)
     try:
-        _require_memory(rank, subject, keep_fusion=keep_fusion)
+        _require_memory(datum.rank, path, keep_fusion=keep_fusion)
     except InvalidDatum as exc:
         _fail_input(str(exc))
+    return datum, validate_modular_datum(datum, eps, eps_int, keep_fusion=keep_fusion)
 
 
 def _write_output(chunks: Iterable[bytes], output: str | None) -> None:
@@ -249,9 +254,7 @@ def main():
 @_format_option
 def validate(input_path, eps, eps_int, fmt):
     """Run the full validation suite on a modular-datum JSON file."""
-    datum = _load_datum(input_path)
-    _check_memory(datum.rank, input_path)
-    report = validate_modular_datum(datum, eps, eps_int)
+    _, report = _validated(input_path, eps, eps_int)
     if fmt == "json":
         _write_output(_dump_json(_report_dict(report)), None)
     else:
@@ -265,9 +268,7 @@ def validate(input_path, eps, eps_int, fmt):
 @_eps_int_option
 def check(input_path, eps, eps_int):
     """Terse validation: verdict plus any failing checks."""
-    datum = _load_datum(input_path)
-    _check_memory(datum.rank, input_path)
-    report = validate_modular_datum(datum, eps, eps_int)
+    _, report = _validated(input_path, eps, eps_int)
     for c in report.failures():
         click.echo(f"FAIL {c.name} residual={c.residual:.6e} {c.detail}".rstrip())
     n_pass = sum(c.passed for c in report.checks)
@@ -283,9 +284,7 @@ def check(input_path, eps, eps_int):
 @_format_option
 def fusion(input_path, eps, eps_int, fmt):
     """Verlinde fusion rules of a validated datum."""
-    datum = _load_datum(input_path)
-    _check_memory(datum.rank, input_path, keep_fusion=True)
-    report = validate_modular_datum(datum, eps, eps_int, keep_fusion=True)
+    datum, report = _validated(input_path, eps, eps_int, keep_fusion=True)
     gate = [report["unitary"], report["vacuum_row_positive"]]
     if not all(c.passed for c in gate):
         click.echo("datum fails unitarity/positivity; fusion not computed", err=True)

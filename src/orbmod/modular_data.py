@@ -88,7 +88,7 @@ class Phase:
 
     @property
     def value(self) -> complex:
-        return cmath.exp(2j * cmath.pi * float(self.angle))
+        return _phase(self.angle.numerator, self.angle.denominator)
 
 
 @dataclass(frozen=True)
@@ -662,11 +662,11 @@ def _t_angles(d: ModularDatum) -> list[tuple[int, int]]:
 
 
 def _phase(num: int, den: int) -> complex:
-    """``exp(2 pi i num/den)`` for integers ``num`` and ``den > 0``, bit for
-    bit ``Phase(Fraction(num, den)).value``: ``float`` of a ``Fraction`` is
-    the int true division of its reduced terms, which is correctly rounded,
-    so any pair of terms of the same rational in ``[0, 1)`` gives its
-    double."""
+    """``exp(2 pi i num/den)`` for integers ``num`` and ``den > 0``, the one
+    formula of every exact phase (:attr:`Phase.value` included).  The int
+    true division ``(num % den) / den`` is correctly rounded, so any pair
+    of terms of the same rational gives the same double, and the phase
+    depends on the rational alone."""
     return cmath.exp(2j * cmath.pi * ((num % den) / den))
 
 
@@ -678,7 +678,7 @@ def verlinde_fusion(
     d: ModularDatum,
     *,
     keep_table: bool = True,
-    conjugation: np.ndarray | None | str = "from S",
+    conjugation: np.ndarray | None = None,
 ) -> FusionTensor:
     """Fusion multiplicities ``N[i, j, m] = sum_l S_il S_jl conj(S_ml) / S_0l``.
 
@@ -690,10 +690,10 @@ def verlinde_fusion(
     ``conjugation`` is the charge conjugation ``m -> m̄`` as an int array,
     for an S that is unitary and symmetric with ``S**2`` a permutation: then
     ``conj(S_ml) = S_m̄l``, so ``N[i, j, m] = Ñ[i, j, m̄]`` for the totally
-    symmetric ``Ñ[i, j, k] = sum_l S_il S_jl S_kl / S_0l``.  ``None`` sums
-    over ``conj(S)``, for any datum.  By default the map is read off
-    ``S**2`` when the three checks of :func:`validate_modular_datum` pass
-    at :data:`DEFAULT_EPS`, and is ``None`` otherwise.
+    symmetric ``Ñ[i, j, k] = sum_l S_il S_jl S_kl / S_0l``.  The default
+    ``None`` sums over ``conj(S)``, for any datum.
+    :func:`validate_modular_datum` passes the map that it reads off
+    ``S**2`` when its three checks of S pass, and ``None`` otherwise.
 
     The pairs ``i <= j`` (``N[j, i] = N[i, j]``) are taken in blocks of
     whole columns ``j``, at most ``2**14 // N`` pairs or one column each,
@@ -721,8 +721,6 @@ def verlinde_fusion(
         raise InvalidDatum(
             "vacuum S-matrix row has a near-zero entry; fusion is undefined"
         )
-    if isinstance(conjugation, str):
-        conjugation = _s_checks(s, DEFAULT_EPS)[-1]
     cuts = _column_blocks(n)
     # one block multiplies every column k in either form
     symmetric = conjugation is not None and len(cuts) > 2

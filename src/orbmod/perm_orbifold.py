@@ -452,9 +452,7 @@ def permutation_restriction_data(
     trivial_table = CharacterTable(((0,),), np.array([[1.0]], dtype=complex), (1,))
 
     orbits = [OrbitSpec(f"diag({x})", (0,), full_table) for x in names]
-    for t in off:
-        text = ",".join(_factor_text(names[x]) for x in t)
-        orbits.append(OrbitSpec(f"off({text})", (0,), trivial_table))
+    orbits += [OrbitSpec(label_text(OffDiagonal(t), d), (0,), trivial_table) for t in off]
     orbits += [
         OrbitSpec(f"tw{r}({x})", (r,), full_table) for r in range(1, k) for x in names
     ]

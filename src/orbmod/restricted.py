@@ -254,16 +254,25 @@ def assemble_restricted_S(
     """Evaluate the restricted S-matrix over all ``(orbit, character)`` pairs.
 
     Returns the pair list (in orbit-major order) and the complex matrix.
-    Pairs ``(i, j)`` absent from ``blocks`` contribute zero entries.  Raises
-    ``ValueError`` on inconsistent block data: duplicate transversal
-    elements modulo the column stabilizer, conjugation-invariance
-    violations beyond ``eps``, or a nonempty block whose twists fall outside
-    the character domains.
+    Pairs ``(i, j)`` absent from ``blocks`` contribute zero entries.  Every
+    orbit's stabilizer elements and twist are checked against ``group``
+    first, each once.  Raises ``ValueError`` on an orbit with an element
+    outside the group, and on inconsistent block data: a kappa outside the
+    group, duplicate transversal elements modulo the column stabilizer,
+    conjugation-invariance violations beyond ``eps``, or a nonempty block
+    whose twists fall outside the character domains.
     """
     # orbit i holds the rows offsets[i]:offsets[i + 1]
     pairs: list[tuple[int, int]] = []
     offsets = [0]
+    negated_twists = []
     for i, spec in enumerate(orbits):
+        try:
+            for element in spec.characters.elements:
+                group._check(element)
+            negated_twists.append(group.neg(spec.twist))
+        except ValueError as exc:
+            raise ValueError(f"orbit {spec.label!r}: {exc}") from exc
         pairs.extend((i, l) for l in range(spec.characters.n_characters))
         offsets.append(len(pairs))
     n = len(pairs)
@@ -280,7 +289,7 @@ def assemble_restricted_S(
             # abelian group: conjugation is trivial, so the character factors
             # do not depend on kappa and the transversal sum factors out
             lam = spec_i.characters.column(spec_j.twist).conj()
-            mu = spec_j.characters.column(group.neg(spec_i.twist))
+            mu = spec_j.characters.column(negated_twists[i])
         except ValueError as exc:
             raise ValueError(
                 f"block ({i}, {j}) is nonempty but the twist data falls outside "

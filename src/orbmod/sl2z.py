@@ -49,24 +49,11 @@ class SL2Matrix:
                 f"determinant must be 1, got {self.a * self.d - self.b * self.c}"
             )
 
-    def __matmul__(self, other: "SL2Matrix") -> "SL2Matrix":
-        return SL2Matrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b}; {self.c}, {self.d})"
-
-
-S_GEN = SL2Matrix(0, -1, 1, 0)
-T_GEN = SL2Matrix(1, 1, 0, 1)
-IDENTITY = SL2Matrix(1, 0, 0, 1)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from orbmod import fixtures
 from orbmod.modular_data import ModularDatum, ModuleInfo
+from orbmod.sl2z import SL2Matrix
 
 # one profile for the whole suite: the same examples on every run, and no
 # example database written
@@ -51,3 +52,20 @@ def _datum(c: Fraction, weights: list[Fraction]) -> ModularDatum:
 
 # data of 1 to 4 modules with such a central charge and weights
 rational_data = st.builds(_datum, rationals, st.lists(rationals, max_size=3))
+
+
+# reference SL(2, Z) arithmetic: the generators, the identity and the
+# integer matrix product, written out apart from the library's word fold
+S_GEN = SL2Matrix(0, -1, 1, 0)
+T_GEN = SL2Matrix(1, 1, 0, 1)
+IDENTITY = SL2Matrix(1, 0, 0, 1)
+
+
+def sl2_product(*factors: SL2Matrix) -> SL2Matrix:
+    """The product of SL(2, Z) matrices in order; the identity for none."""
+    a, b, c, d = IDENTITY.entries()
+    for m in factors:
+        a, b, c, d = (
+            a * m.a + b * m.c, a * m.b + b * m.d, c * m.a + d * m.c, c * m.b + d * m.d
+        )
+    return SL2Matrix(a, b, c, d)

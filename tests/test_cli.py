@@ -968,6 +968,33 @@ def test_restricted_cli_rejects_kappa_outside_group(runner, tmp_path, n_entries)
     assert result.stderr == "error: (5,) is not an element of Z_2\n"
 
 
+@pytest.mark.parametrize("twist", [[0], [3]])
+def test_restricted_cli_rejects_an_orbit_element_outside_group(runner, tmp_path, twist):
+    # the stabilizer element (3,) is checked first, and named with its orbit
+    one = {"re": "1", "im": "0"}
+    spec = {
+        "group": [2],
+        "orbits": [{
+            "label": "V",
+            "twist": twist,
+            "stabilizer": [[0], [3]],
+            "characters": {
+                "dims": [1, 1],
+                "elements": [[0], [3]],
+                "table": [[one, one], [one, {"re": "-1", "im": "0"}]],
+            },
+        }],
+        "blocks": [{"i": 0, "j": 0, "entries": [{"kappa": [0], "value": one}]}],
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    result = runner.invoke(main, ["restricted", str(spec_path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == "error: orbit 'V': (3,) is not an element of Z_2\n"
+
+
 def write_ising_oracle_spec(tmp_path, name, stabilizer=None):
     """The permutation oracle's Ising k = 2 spec, with the first orbit's
     ``"stabilizer"`` replaced when one is given."""

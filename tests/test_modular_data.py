@@ -658,15 +658,13 @@ def test_fusion_blocks_are_whole_columns_of_few_pairs(n):
     assert (len(cuts) == 2) == (n <= 31)
 
 
-def gather_fusion(d, keep_table=True, conjugation="from S", blocks=None):
+def gather_fusion(d, keep_table=True, conjugation=None, blocks=None):
     """Reference: ``verlinde_fusion`` as it gathered each block's products
     ``S_il S_jl`` by the pair indices ``i <= j``, one fancy index per
     factor, with the same blocks, forms and matrix products.  Each block's
     raw coefficients are appended to ``blocks`` when it is given."""
     s = d.s_matrix
     n = d.rank
-    if isinstance(conjugation, str):
-        conjugation = modular_data._s_checks(s, DEFAULT_EPS)[-1]
     cuts = modular_data._column_blocks(n)
     symmetric = conjugation is not None and len(cuts) > 2
     w = ((s if symmetric else s.conj()) / s[0]).T
@@ -715,7 +713,12 @@ def fusion_bits(tensor):
     )
 
 
-def assert_same_fusion(d, monkeypatch, conjugation="from S"):
+def read_conjugation(d):
+    """The charge conjugation that validation hands the kernel, or ``None``."""
+    return modular_data._s_checks(d.s_matrix, DEFAULT_EPS)[-1]
+
+
+def assert_same_fusion(d, monkeypatch, conjugation):
     """``verlinde_fusion`` and the gather form give the same tensor, and
     every block's raw coefficients have the same bits."""
     blocks = []
@@ -740,19 +743,57 @@ def assert_same_fusion(d, monkeypatch, conjugation="from S"):
             assert new.table is None
 
 
-@pytest.mark.parametrize("name,k,rank", [("ising", 3, 35), ("fibonacci", 5, 56), ("ising", 5, 123)])
+FIXTURE_ORBIFOLDS = [("ising", 3, 35), ("fibonacci", 5, 56), ("ising", 5, 123)]
+
+
+@pytest.mark.parametrize("name,k,rank", FIXTURE_ORBIFOLDS)
 def test_fusion_has_the_bits_of_the_gathered_products(name, k, rank, monkeypatch):
-    d = build_orbifold_datum(fixtures.load(name), k, "minus").datum
+    d = family_datum(f"fix_{name}", k)
     assert d.rank == rank
-    conjugation = modular_data._s_checks(d.s_matrix, DEFAULT_EPS)[-1]
+    conjugation = read_conjugation(d)
     assert (conjugation != np.arange(rank)).any()  # a nontrivial m̄
-    assert_same_fusion(d, monkeypatch)
+    assert_same_fusion(d, monkeypatch, conjugation)
     # a row scaled so that S fails `unitary`: the conj(S) form
     s = np.array(d.s_matrix)
     s[rank // 2] *= 1.001
     broken = ModularDatum(d.central_charge, d.modules, s)
-    assert modular_data._s_checks(s, DEFAULT_EPS)[-1] is None
-    assert_same_fusion(broken, monkeypatch)
+    assert read_conjugation(broken) is None
+    assert_same_fusion(broken, monkeypatch, None)
+
+
+@pytest.mark.parametrize("name,k,rank", FIXTURE_ORBIFOLDS)
+def test_fusion_takes_the_symmetric_form_only_when_handed_the_map(name, k, rank):
+    d = family_datum(f"fix_{name}", k)
+    assert d.rank == rank
+    kept = validate_modular_datum(d, keep_fusion=True).fusion
+    direct = verlinde_fusion(d, conjugation=read_conjugation(d))
+    assert np.array_equal(direct.table, kept.table)
+    assert fusion_bits(direct) == fusion_bits(kept)
+    # with no map the kernel sums over conj(S), whatever the datum
+    default, reference = verlinde_fusion(d), gather_fusion(d)
+    assert np.array_equal(default.table, reference.table)
+    assert fusion_bits(default) == fusion_bits(reference)
+
+
+@pytest.mark.parametrize("name,k,rank", [("su2_4", 3, 85), ("fix_ising", 5, 123)])
+def test_validation_does_a_third_of_the_verlinde_work(name, k, rank, monkeypatch):
+    # multiply-adds, not times: rows x N x columns of each block's product
+    d = family_datum(name, k)
+    assert d.rank == rank
+    shapes = []
+    rounded = modular_data._rounded
+    monkeypatch.setattr(
+        modular_data, "_rounded", lambda raw, *folded: shapes.append(raw.shape) or rounded(raw, *folded)
+    )
+
+    def multiply_adds(run):
+        shapes.clear()
+        run()
+        return sum(rows * rank * columns for rows, columns in shapes)
+
+    assert multiply_adds(lambda: validate_modular_datum(d)) <= rank**4 / 5
+    assert multiply_adds(lambda: validate_modular_datum(d, keep_fusion=True)) <= rank**4 / 5
+    assert multiply_adds(lambda: verlinde_fusion(d)) >= rank**4 / 2
 
 
 @pytest.mark.parametrize("n", [*range(1, 32), 32, 40])
@@ -789,12 +830,12 @@ CONJUGATE_CASES = [
 def test_symmetric_form_keeps_the_table_under_conjugation(name, k, rank, completed):
     d = family_datum(name, k)
     assert d.rank == rank
-    conjugation = modular_data._s_checks(d.s_matrix, DEFAULT_EPS)[-1]
+    conjugation = read_conjugation(d)
     assert (conjugation != np.arange(rank)).any()
     oracle = einsum_fusion(d)
     report = validate_modular_datum(d, keep_fusion=True)
     assert report.ok
-    for tensor in (report.fusion, verlinde_fusion(d), verlinde_fusion(d, conjugation=None)):
+    for tensor in (report.fusion, verlinde_fusion(d, conjugation=conjugation), verlinde_fusion(d)):
         assert np.array_equal(tensor.table, oracle.table)
         assert abs(tensor.residual - oracle.residual) <= 1e-13
     # the symmetric form ran, with the conjugation read off S^2, whenever
@@ -851,7 +892,7 @@ def table_path_check(d):
     """The ``fusion_integrality`` row as validation made it from the
     stored table before it streamed the table's blocks."""
     try:
-        tensor = verlinde_fusion(d)
+        tensor = verlinde_fusion(d, conjugation=read_conjugation(d))
     except InvalidDatum as exc:
         return CheckResult("fusion_integrality", False, float("inf"), str(exc))
     nonneg = bool(np.min(tensor.table) >= 0)

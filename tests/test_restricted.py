@@ -234,6 +234,26 @@ def test_every_kappa_must_lie_in_the_group(group, kappa, others, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "twist,elements,message",
+    [
+        # accepted before: no transversal difference can equal (3,), and
+        # the block's S came out as 0.5 everywhere
+        ((0,), ((0,), (3,)), "(3,) is not an element of Z_2"),
+        ((5,), ((0,), (1,)), "(5,) is not an element of Z_2"),
+        ((0, 0), ((0,), (1,)), "(0, 0) is not an element of Z_2"),
+    ],
+    ids=["stabilizer-element", "twist", "twist-of-another-group"],
+)
+@pytest.mark.parametrize("blocks", [{(1, 1): [((0,), 1.0)]}, {}], ids=["block", "no-block"])
+def test_every_orbit_element_must_lie_in_the_group(twist, elements, message, blocks):
+    bad = OrbitSpec("V", twist, CharacterTable(elements, [[1, 1], [1, -1]], (1, 1)))
+    # checked up front, whether or not a block reads the orbit
+    with pytest.raises(ValueError) as info:
+        assemble_restricted_S([OrbitSpec("W", (0,), z2_table()), bad], blocks, Z2)
+    assert str(info.value) == f"orbit 'V': {message}"
+
+
 def test_duplicate_transversal_coset_rejected():
     orbits = [OrbitSpec("a", (0,), z2_table())] * 2
     blocks = {(0, 1): [((0,), 1.0), ((1,), 1.0)]}

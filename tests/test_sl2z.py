@@ -1,4 +1,3 @@
-import functools
 import math
 import random
 
@@ -9,9 +8,6 @@ from numpy.testing import assert_allclose
 
 from orbmod.modular_data import Phase, t_matrix
 from orbmod.sl2z import (
-    IDENTITY,
-    S_GEN,
-    T_GEN,
     GeneratorWord,
     SL2Matrix,
     decompose_to_generators,
@@ -21,7 +17,7 @@ from orbmod.sl2z import (
     sector_congruence,
 )
 
-from conftest import rational_data
+from conftest import IDENTITY, S_GEN, T_GEN, rational_data, sl2_product
 
 
 def random_word(rng, max_len, max_exp):
@@ -89,7 +85,7 @@ def generator(token):
 
 @given(words())
 def test_evaluate_word_is_the_product_of_the_generators(word):
-    expected = functools.reduce(SL2Matrix.__matmul__, map(generator, word), IDENTITY)
+    expected = sl2_product(*map(generator, word))
     assert evaluate_word(word) == expected
     assert evaluate_word(word.tokens) == expected
 
@@ -135,11 +131,8 @@ def test_decompose_round_trip_bounded_entries():
 @given(st.lists(st.integers(-8, 8), max_size=10), st.integers(0, 3))
 def test_decompose_round_trip_hypothesis(exponents, trailing_s):
     # words of the continued-fraction shape T^n1 S T^n2 S ... S^trailing
-    m = IDENTITY
-    for n in exponents:
-        m = m @ SL2Matrix(1, n, 0, 1) @ S_GEN
-    for _ in range(trailing_s):
-        m = m @ S_GEN
+    factors = [f for n in exponents for f in (SL2Matrix(1, n, 0, 1), S_GEN)]
+    m = sl2_product(*factors, *[S_GEN] * trailing_s)
     word = decompose_to_generators(m)
     assert evaluate_word(word) == m
     # canonical form invariants: T tokens merged, nonzero
@@ -224,7 +217,7 @@ def test_rho_homomorphism_random_pairs(ising):
     for _ in range(60):
         m1 = evaluate_word(random_word(rng, max_len=6, max_exp=3))
         m2 = evaluate_word(random_word(rng, max_len=6, max_exp=3))
-        lhs = rho_of(m1 @ m2, ising)
+        lhs = rho_of(sl2_product(m1, m2), ising)
         rhs = rho_of(m1, ising) @ rho_of(m2, ising)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
