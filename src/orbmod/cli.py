@@ -43,6 +43,7 @@ from .perm_orbifold import (
     build_orbifold_datum,
 )
 from .restricted import (
+    _negated_twists,
     _result_document,
     assemble_restricted_S,
     parse_restricted_spec,
@@ -411,6 +412,10 @@ def restricted(input_path, output, eps):
         orbits, blocks, group = parse_restricted_spec(_read_input(input_path))
     except InvalidDatum as exc:
         _fail_input(f"{input_path}: {exc}")
+    try:
+        _negated_twists(orbits, group)  # an element outside the group is malformed input
+    except ValueError as exc:
+        _fail_input(str(exc))
     report = validate_group_data(orbits, eps)
     if not report.ok:
         for c in report.failures():

@@ -670,8 +670,15 @@ def _phase(num: int, den: int) -> complex:
     return cmath.exp(2j * cmath.pi * ((num % den) / den))
 
 
-def _t_array(d: ModularDatum) -> np.ndarray:
-    return np.array([_phase(num, den) for num, den in _t_angles(d)])
+def _t_phases(d: ModularDatum, times: int = 1, over: int = 1) -> np.ndarray:
+    """The phases of ``times/over`` times the T-angles, as :func:`_phase` of
+    ``times num`` over ``over den``: bit for bit the ``Phase`` of each angle."""
+    return np.array([_phase(times * num, over * den) for num, den in _t_angles(d)])
+
+
+def _roots(k: int) -> np.ndarray:
+    """The ``k``-th roots of unity ``exp(2 pi i m/k)``, indexed by ``m % k``."""
+    return np.array([_phase(m, k) for m in range(k)])
 
 
 def verlinde_fusion(
@@ -1005,7 +1012,7 @@ def validate_modular_datum(
 
     checks.append(charge)
 
-    st = s * _t_array(d)  # S T: column j scaled by T_jj
+    st = s * _t_phases(d)  # S T: column j scaled by T_jj
     rel = np.linalg.matrix_power(st, 3)
     res = float(np.max(np.abs(rel - s2)))
     detail = ""

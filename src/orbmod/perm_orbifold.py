@@ -51,10 +51,10 @@ from .modular_data import (
     _datum_document,
     _memory_bound,
     _memory_refusal,
-    _phase,
     _plain,
     _require_memory,
-    _t_angles,
+    _roots,
+    _t_phases,
     validate_modular_datum,
 )
 from .restricted import CharacterTable, FiniteAbelianGroup, OrbitSpec
@@ -222,16 +222,13 @@ def twisted_sector_block(d: ModularDatum, k: int, r: int, s: int) -> np.ndarray:
     with ``(a, b, A) = sector_congruence(k, r, s)``.  Requires ``k`` prime
     and ``0 < r, s < k`` (raises ``ValueError`` otherwise).
 
-    The angles of the two phase vectors are ``-a/k`` and ``b/k`` times the
-    T-angles ``h - c/24``, taken as integer numerators over ``k`` times the
-    T-angle denominators, so each phase is bit for bit the ``Phase`` of the
-    exact angle.
+    The two phase vectors are ``_t_phases`` of ``-a/k`` and ``b/k`` times the
+    T-angles ``h - c/24``, bit for bit the ``Phase`` of each exact angle.
     """
     cong = sector_congruence(k, r, s)
     rho_a = rho_of(cong.matrix, d)
-    angles = _t_angles(d)
-    left = np.array([_phase(-cong.a * num, k * den) for num, den in angles])
-    right = np.array([_phase(cong.b * num, k * den) for num, den in angles])
+    left = _t_phases(d, -cong.a, k)
+    right = _t_phases(d, cong.b, k)
     return left[:, None] * (d.s_matrix @ rho_a) * right[None, :]
 
 
@@ -282,19 +279,18 @@ def assemble_orbifold_S(d: ModularDatum, k: int) -> np.ndarray:
         od *= s[off_tuples[:, m], :]
     out[:n_diag, n_diag:base] = np.repeat(od, k, axis=1).T
 
-    def eig(num):
-        return np.exp(2j * np.pi * num / k)
+    roots, eigen = _roots(k), np.arange(k)
 
     def sector(r):  # rows of the (i, a) block of twisted sector r
         return slice(base + (r - 1) * n * k, base + r * n * k)
 
     for r in range(1, k):
         # diagonal (j, b) vs twisted (r, i, a): S[i, j] e^{2 pi i r b / k} / k
-        phases_b = eig(r * np.arange(k))
+        phases_b = roots[r * eigen % k]
         out[:n_diag, sector(r)] = np.kron(s / k, np.outer(np.ones(k), phases_b)).T
         for s_idx in range(r, k):
             block = twisted_sector_block(d, k, r, s_idx)
-            phase_ab = eig(np.add.outer(s_idx * np.arange(k), r * np.arange(k)))
+            phase_ab = roots[np.add.outer(s_idx * eigen, r * eigen) % k]
             out[sector(r), sector(s_idx)] = np.kron(block / k, phase_ab)
 
     # exact symmetry: mirror the upper triangle
@@ -440,15 +436,8 @@ def permutation_restriction_data(
     s = d.s_matrix
     names = d.labels
     group = FiniteAbelianGroup((k,))
-    elems = group.elements()
-    full_table = CharacterTable(
-        elems,
-        np.array(
-            [[_phase(-a * g, k) for (g,) in elems] for a in range(k)],
-            dtype=complex,
-        ),
-        (1,) * k,
-    )
+    g = np.arange(k)  # group.elements() is (0,), (1,), ..., (k - 1,)
+    full_table = CharacterTable(group.elements(), _roots(k)[np.outer(-g, g) % k], (1,) * k)
     trivial_table = CharacterTable(((0,),), np.array([[1.0]], dtype=complex), (1,))
 
     orbits = [OrbitSpec(f"diag({x})", (0,), full_table) for x in names]

@@ -244,6 +244,22 @@ def _check_block(
             )
 
 
+def _negated_twists(
+    orbits: Sequence[OrbitSpec], group: FiniteAbelianGroup
+) -> list[GroupElement]:
+    """Check each orbit's stabilizer elements and twist against ``group`` and
+    return the negated twists; a ``ValueError`` names the orbit of an outsider."""
+    negated = []
+    for spec in orbits:
+        try:
+            for element in spec.characters.elements:
+                group._check(element)
+            negated.append(group.neg(spec.twist))
+        except ValueError as exc:
+            raise ValueError(f"orbit {spec.label!r}: {exc}") from exc
+    return negated
+
+
 def assemble_restricted_S(
     orbits: Sequence[OrbitSpec],
     blocks: CrossBlocks,
@@ -254,27 +270,18 @@ def assemble_restricted_S(
     """Evaluate the restricted S-matrix over all ``(orbit, character)`` pairs.
 
     Returns the pair list (in orbit-major order) and the complex matrix.
-    Pairs ``(i, j)`` absent from ``blocks`` contribute zero entries.  Every
-    orbit's stabilizer elements and twist are checked against ``group``
-    first, each once.  Raises ``ValueError`` on an orbit with an element
-    outside the group, and on inconsistent block data: a kappa outside the
-    group, duplicate transversal elements modulo the column stabilizer,
-    conjugation-invariance violations beyond ``eps``, or a nonempty block
-    whose twists fall outside the character domains.
+    Pairs ``(i, j)`` absent from ``blocks`` contribute zero entries.  The
+    orbits are checked by :func:`_negated_twists` first.  Raises
+    ``ValueError`` on an orbit with an element outside the group, and on
+    inconsistent block data: a kappa outside the group, duplicate
+    transversal elements modulo the column stabilizer, conjugation-invariance
+    violations beyond ``eps``, or a nonempty block whose twists fall outside
+    the character domains.
     """
+    negated_twists = _negated_twists(orbits, group)
+    pairs = [(i, l) for i, o in enumerate(orbits) for l in range(o.characters.n_characters)]
     # orbit i holds the rows offsets[i]:offsets[i + 1]
-    pairs: list[tuple[int, int]] = []
-    offsets = [0]
-    negated_twists = []
-    for i, spec in enumerate(orbits):
-        try:
-            for element in spec.characters.elements:
-                group._check(element)
-            negated_twists.append(group.neg(spec.twist))
-        except ValueError as exc:
-            raise ValueError(f"orbit {spec.label!r}: {exc}") from exc
-        pairs.extend((i, l) for l in range(spec.characters.n_characters))
-        offsets.append(len(pairs))
+    offsets = [0, *itertools.accumulate(o.characters.n_characters for o in orbits)]
     n = len(pairs)
     out = np.zeros((n, n), dtype=complex)
 
@@ -379,6 +386,8 @@ def parse_restricted_spec(
         where = f"blocks[{pos}]"
         try:
             key = (_parse_int(entry["i"], "i"), _parse_int(entry["j"], "j"))
+            if key in blocks:
+                raise ValueError(f"duplicate block {key}")
             blocks[key] = [
                 (_parse_element(e["kappa"], where), _parse_complex(e["value"], where))
                 for e in entry["entries"]

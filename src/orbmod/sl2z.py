@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .modular_data import ModularDatum, _phase, _t_angles
+from .modular_data import ModularDatum, _t_phases
 
 __all__ = [
     "SL2Matrix",
@@ -161,18 +161,15 @@ def rho_of(m: SL2Matrix, d: ModularDatum) -> np.ndarray:
     ``m`` into generators; on a validated datum ``rho`` is a genuine
     representation, so the value does not depend on the chosen word.
 
-    ``rho(T^n)`` is the diagonal of phases of the angles ``n (h_i - c/24)``,
-    each taken as an integer numerator over the T-angle's denominator, so
-    it is bit for bit the ``Phase`` of the exact angle.
+    ``rho(T^n)`` is the diagonal ``_t_phases(d, n)`` of the angles
+    ``n (h_i - c/24)``, bit for bit the ``Phase`` of each exact angle.
     """
-    angles = _t_angles(d)
     out = np.eye(d.rank, dtype=complex)
     for tok in decompose_to_generators(m):
         if tok == "S":
             out = out @ d.s_matrix
         else:
-            n = int(tok[2:])
-            out = out * np.array([_phase(n * num, den) for num, den in angles])
+            out = out * _t_phases(d, int(tok[2:]))
     return out
 
 

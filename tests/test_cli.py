@@ -995,6 +995,59 @@ def test_restricted_cli_rejects_an_orbit_element_outside_group(runner, tmp_path,
     assert result.stderr == "error: orbit 'V': (3,) is not an element of Z_2\n"
 
 
+@pytest.mark.parametrize(
+    "twist,stabilizer,code,stderr",
+    [
+        ([5], [[0], [1]], 2, "error: orbit 'V': (5,) is not an element of Z_2\n"),
+        ([1], [[0]], 1, "group data FAIL: twist_in_stabilizer offending orbits: ['V']\n"),
+    ],
+    ids=["outside-group", "outside-stabilizer"],
+)
+def test_restricted_cli_checks_the_twist_against_the_group_first(
+    runner, tmp_path, twist, stabilizer, code, stderr
+):
+    # a twist outside the group is malformed input, not failed group data
+    one, minus = {"re": "1", "im": "0"}, {"re": "-1", "im": "0"}
+    n = len(stabilizer)
+    spec = {
+        "group": [2],
+        "orbits": [{
+            "label": "V",
+            "twist": twist,
+            "stabilizer": stabilizer,
+            "characters": {
+                "dims": [1] * n,
+                "elements": stabilizer,
+                "table": [row[:n] for row in [[one, one], [one, minus]][:n]],
+            },
+        }],
+        "blocks": [{"i": 0, "j": 0, "entries": [{"kappa": [0], "value": one}]}],
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    result = runner.invoke(main, ["restricted", str(spec_path)])
+    assert result.exit_code == code
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == stderr
+
+
+def test_restricted_cli_refuses_a_repeated_block(runner, tmp_path):
+    # the second (0, 0) block replaced the first, of value 5, and the
+    # command wrote the S of the second with exit 0
+    spec_path, _ = make_trivial_spec(tmp_path)
+    doc = json.loads(spec_path.read_text())
+    first = json.loads(json.dumps(doc["blocks"][0]))
+    first["entries"][0]["value"] = {"re": "5", "im": "0"}
+    doc["blocks"].insert(0, first)
+    spec_path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["restricted", str(spec_path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == f"error: {spec_path}: bad block entry blocks[1]: duplicate block (0, 0)\n"
+
+
 def write_ising_oracle_spec(tmp_path, name, stabilizer=None):
     """The permutation oracle's Ising k = 2 spec, with the first orbit's
     ``"stabilizer"`` replaced when one is given."""

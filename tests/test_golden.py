@@ -26,23 +26,23 @@ from orbmod.restricted import restricted_spec_to_dict
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 GOLDEN = {
-    "perm-ising-2": "e054d68f46102059d25d70c3cc89fa4b3bcd93400199906ac3cdc7e137216308",
-    "perm-fibonacci-3": "56920429eab6f762f97caf0a446def0d1481071a9ea14bb345876fe501bbc48f",
-    "perm-fibonacci-5": "df59b7bbca95df986e76e6516bb470f79590b23a841b7604df8f73d85756ebda",
-    "perm-fibonacci-7": "b87658609e86f7677604523d24486422eeb8b2f868f8fef68b4cd722dfd4548e",
-    "perm-ising-3": "64872c42663fc94e29aa3a07eda862c9662a338e176e4bda5fb2dad25880ae05",
+    "perm-ising-2": "b363a00d0da9a672d552e6665b971c33a88d0e22edf01aab6c534c82a807d3da",
+    "perm-fibonacci-3": "18cf8e9eff6e62f8a8bce5e9c6e3acdc71fea48dd36749d1dc4d3e03f6c86a53",
+    "perm-fibonacci-5": "0603f82e5987b0bbc16d6465d57e80165ad707000eefb7a81f97c212887d4878",
+    "perm-fibonacci-7": "563681354b1676604361ca640ab5a9c122f420bdb82b63cb10bddf80060a0664",
+    "perm-ising-3": "403f75d010bf5b91c2a73452d59f8945e2350b6bf64db68f68455e997bdf25f8",
     # exit 1: "plus" fails the modular relation at k = 3; pins the JSON on
     # stdout and the "check FAIL:" summary on stderr
-    "permplus-ising-3": "527b05eee641acd944a698a8e939949d619cbb54498214ddeebc42e3345fc255",
+    "permplus-ising-3": "eadda13a888226b37a89a917eff4a44a8bca52476ebe507c96803b2959bfccc4",
     # commands run on an orbifold written by `perm -o`; the fusion csv holds
     # the integer table without the floating residual
     "orbcheck-ising-3": "a2226dbd2fc6a1929596e2620c798792f9bed9e31a469914d9c5202d9772ff12",
     "orbfusion-ising-2-csv": "20c208b2bfce830549aa3f3003cdf3557fc07c742f2f74b1346ccd417969b294",
     "orbfusion-ising-3-csv": "8d45175924ce7d45df7a994da1688d8983992f4b739f256cd3e6eba071b798f4",
     # the 35^3 table as nested JSON lists, with the residual of this build
-    "orbfusion-ising-3-json": "831f5bfff42c37f7fbb4a492c9ebd4a59d20e1d275c579d484a85943c36ff5c7",
+    "orbfusion-ising-3-json": "7a1d1a3fb3562b06fe5019daff97d0a5b4aa58052f3f750d21a143f6261a5c21",
     # a generated source whose S has nonzero imaginary parts
-    "permsrc-u1:4-2": "06afb2a0aede2b22249eac756188881c0b42a366fc1bef46f1a1c25dc3865cf5",
+    "permsrc-u1:4-2": "dedcf176d1e4b10fbf43af9cfe0bf5142a0876c532c44a2f3b115ca5273f7ff4",
     "tmatrix-ising-pretty": "16fd2f6b67a4cc1b0fded8601fc8524c0db60e4684bd47564fa9a9fd2c6025d7",
     "tmatrix-ising-json": "3be032d79277695957fa9d04b8ec9a88dd706fcad7c6122f54d665841bac3b9b",
     "tmatrix-ising-csv": "96c4f2ca631c86b95cda0ed64b17aca498171591bd632f2107beab0ef6aeeef7",

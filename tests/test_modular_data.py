@@ -510,8 +510,8 @@ def test_t_phases_on_integers_are_the_exact_phases(d):
     angles = [h - d.central_charge / 24 for h in d.weights]
     assert [p.angle for p in t_matrix(d)] == [a % 1 for a in angles]
     expected = np.array([Phase(a).value for a in angles])
-    assert modular_data._t_array(d).tobytes() == expected.tobytes()
-    assert modular_data._t_array(d).tobytes() == np.array([p.value for p in t_matrix(d)]).tobytes()
+    assert modular_data._t_phases(d).tobytes() == expected.tobytes()
+    assert modular_data._t_phases(d).tobytes() == np.array([p.value for p in t_matrix(d)]).tobytes()
 
 
 @given(st.integers(-(10**60), 10**60), st.integers(1, 10**50), st.integers(1, 10**6))

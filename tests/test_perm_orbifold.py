@@ -235,6 +235,18 @@ def test_restriction_characters_are_the_exact_phases(holo8, k):
     assert rows.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_diagonal_twisted_block_phases_are_the_exact_phases(holo8, k):
+    s_orb = assemble_orbifold_S(holo8, k)
+    n_diag = holo8.rank * k
+    base = sum(not isinstance(label, Twisted) for label in orbifold_labels(holo8, k))
+    for r in range(1, k):
+        phases_b = np.array([Phase(Fraction(r * b, k)).value for b in range(k)])
+        expected = np.kron(holo8.s_matrix / k, np.outer(np.ones(k), phases_b)).T
+        block = s_orb[:n_diag, base + (r - 1) * n_diag:base + r * n_diag]
+        assert block.tobytes() == expected.tobytes()
+
+
 def test_twisted_block_mirror_consistency(fibonacci):
     # the (r, s) block and the transposed (s, r) block encode the same
     # unordered pairs, so they must agree numerically

@@ -395,6 +395,19 @@ def test_restricted_matches_orbifold_pipeline(name, k):
     assert np.max(np.abs(out - out.T)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "name,k", [("holomorphic_c8", 5), ("holomorphic_c8", 7), ("fibonacci", 5), ("fibonacci", 7)]
+)
+def test_restricted_matches_orbifold_pipeline_to_the_last_bits(name, k):
+    # both sides take each root of unity from the same exact phase, so they
+    # differ only by the rounding of their products and sums
+    from orbmod import fixtures
+
+    datum = fixtures.load(name)
+    _, out = assemble_restricted_S(*permutation_restriction_data(datum, k))
+    assert np.max(np.abs(out - assemble_orbifold_S(datum, k))) <= 4e-16
+
+
 def test_vacuum_row_shortcut_matches_general_assembly(ising):
     # vacuum-orbit rows from one S-entry per orbit:
     # S[(vac, lam), (j, mu)] = s_vac[j] / |H_j| * lam(-g_j) * dim(mu)
@@ -526,6 +539,14 @@ def test_parse_restricted_spec_rejects_malformed(ising, mutate):
     doc = spec_document(ising)
     mutate(doc)
     with pytest.raises(InvalidDatum):
+        parse_restricted_spec(json.dumps(doc))
+
+
+def test_parse_restricted_spec_refuses_a_repeated_block(ising):
+    # a second (0, 0) block replaced the first without a word
+    doc = spec_document(ising)
+    doc["blocks"].insert(1, doc["blocks"][0])
+    with pytest.raises(InvalidDatum, match=r"^bad block entry blocks\[1\]: duplicate block \(0, 0\)$"):
         parse_restricted_spec(json.dumps(doc))
 
 
