@@ -968,58 +968,34 @@ def test_restricted_cli_rejects_kappa_outside_group(runner, tmp_path, n_entries)
     assert result.stderr == "error: (5,) is not an element of Z_2\n"
 
 
-@pytest.mark.parametrize("twist", [[0], [3]])
-def test_restricted_cli_rejects_an_orbit_element_outside_group(runner, tmp_path, twist):
-    # the stabilizer element (3,) is checked first, and named with its orbit
-    one = {"re": "1", "im": "0"}
-    spec = {
-        "group": [2],
-        "orbits": [{
-            "label": "V",
-            "twist": twist,
-            "stabilizer": [[0], [3]],
-            "characters": {
-                "dims": [1, 1],
-                "elements": [[0], [3]],
-                "table": [[one, one], [one, {"re": "-1", "im": "0"}]],
-            },
-        }],
-        "blocks": [{"i": 0, "j": 0, "entries": [{"kappa": [0], "value": one}]}],
-    }
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
-    result = runner.invoke(main, ["restricted", str(spec_path)])
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)
-    assert result.stdout == ""
-    assert result.stderr == "error: orbit 'V': (3,) is not an element of Z_2\n"
+OUTSIDER = "error: orbit 'V': ({},) is not an element of Z_2\n"
 
 
 @pytest.mark.parametrize(
     "twist,stabilizer,code,stderr",
     [
-        ([5], [[0], [1]], 2, "error: orbit 'V': (5,) is not an element of Z_2\n"),
-        ([1], [[0]], 1, "group data FAIL: twist_in_stabilizer offending orbits: ['V']\n"),
+        # the stabilizer element (3,) is checked first, and named with its orbit
+        pytest.param([0], [[0], [3]], 2, OUTSIDER.format(3), id="twist0"),
+        pytest.param([3], [[0], [3]], 2, OUTSIDER.format(3), id="twist1"),
+        # a twist outside the group is malformed input, checked before the
+        # group data; an in-group twist outside its stabilizer fails them
+        pytest.param([5], [[0], [1]], 2, OUTSIDER.format(5), id="twist-outside-group"),
+        pytest.param([1], [[0]], 1, "group data FAIL: twist_in_stabilizer offending orbits: ['V']\n",
+                     id="twist-outside-stabilizer"),
     ],
-    ids=["outside-group", "outside-stabilizer"],
 )
-def test_restricted_cli_checks_the_twist_against_the_group_first(
+def test_restricted_cli_rejects_an_orbit_element_outside_group(
     runner, tmp_path, twist, stabilizer, code, stderr
 ):
-    # a twist outside the group is malformed input, not failed group data
-    one, minus = {"re": "1", "im": "0"}, {"re": "-1", "im": "0"}
-    n = len(stabilizer)
+    one = {"re": "1", "im": "0"}
+    table = [[one, one], [one, {"re": "-1", "im": "0"}]] if len(stabilizer) == 2 else [[one]]
     spec = {
         "group": [2],
         "orbits": [{
             "label": "V",
             "twist": twist,
             "stabilizer": stabilizer,
-            "characters": {
-                "dims": [1] * n,
-                "elements": stabilizer,
-                "table": [row[:n] for row in [[one, one], [one, minus]][:n]],
-            },
+            "characters": {"dims": [1] * len(stabilizer), "elements": stabilizer, "table": table},
         }],
         "blocks": [{"i": 0, "j": 0, "entries": [{"kappa": [0], "value": one}]}],
     }
