@@ -55,21 +55,24 @@ __all__ = ["main"]
 
 _FORMATS = click.Choice(["pretty", "json", "csv"])
 
+
+class _Tolerance(click.types.FloatParamType):
+    # finite and >= 0: a NaN tolerance fails every check, a negative one
+    # every exact identity, an infinite one passes almost anything
+    def convert(self, value, param, ctx):
+        tol = super().convert(value, param, ctx)
+        if math.isfinite(tol) and tol >= 0:
+            return tol
+        self.fail(f"{value!r} is not a finite float >= 0.", param, ctx)
+
+
 _eps_option = click.option(
-    "--eps",
-    type=float,
-    default=DEFAULT_EPS,
-    envvar="ORBMOD_EPS",
-    show_default=True,
+    "--eps", type=_Tolerance(), default=DEFAULT_EPS, envvar="ORBMOD_EPS", show_default=True,
     help="Tolerance for matrix identities (env: ORBMOD_EPS).",
 )
 _eps_int_option = click.option(
-    "--eps-int",
-    type=float,
-    default=DEFAULT_EPS_INT,
-    envvar="ORBMOD_EPS_INT",
-    show_default=True,
-    help="Tolerance for fusion integrality (env: ORBMOD_EPS_INT).",
+    "--eps-int", type=_Tolerance(), default=DEFAULT_EPS_INT, envvar="ORBMOD_EPS_INT",
+    show_default=True, help="Tolerance for fusion integrality (env: ORBMOD_EPS_INT).",
 )
 _format_option = click.option(
     "--format", "fmt", type=_FORMATS, default="pretty", show_default=True
@@ -88,7 +91,7 @@ def _fail_input(message: str) -> None:
 
 def _read_input(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         _fail_input(f"cannot read {path}: {exc}")
 

@@ -27,4 +27,4 @@ def path(name: str) -> Path:
 
 def load(name: str) -> ModularDatum:
     """Parse a bundled fixture into a :class:`ModularDatum`."""
-    return parse_modular_datum(path(name).read_text())
+    return parse_modular_datum(path(name).read_text(encoding="utf-8"))

@@ -29,6 +29,7 @@ import resource
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, pairwise
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -141,7 +142,7 @@ class ModularDatum:
             )
         if not np.all(np.isfinite(s.view(float))):
             raise InvalidDatum("S-matrix entries must be finite")
-        labels = [m.label for m in self.modules]
+        labels = self.labels
         if len(set(labels)) != len(labels):
             dupes = sorted({l for l in labels if labels.count(l) > 1})
             raise InvalidDatum(f"duplicate module labels: {dupes}")
@@ -156,11 +157,11 @@ class ModularDatum:
     def rank(self) -> int:
         return len(self.modules)
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(m.label for m in self.modules)
 
-    @property
+    @cached_property
     def weights(self) -> tuple[Fraction, ...]:
         return tuple(m.weight for m in self.modules)
 
@@ -555,8 +556,8 @@ def _encode_array(a: np.ndarray, newline: str, out: list) -> None:
         + "," + levels[n - t] + "".join("[" + level for level in levels[n - t + 1:])
         for t in range(1, n)
     ]
-    head_lengths = [len(head) for head in heads]
     width = max(map(len, [*heads, sep]))  # a 0-d array has no sep
+    pads = np.array([width - len(head) for head in heads])
     # NUL-padded on the left, so a row's text starts where its head does
     heads = "".join(head.rjust(width, "\0") for head in heads)
     heads = np.frombuffer(heads.encode(), np.uint8).reshape(-1, width)
@@ -565,13 +566,14 @@ def _encode_array(a: np.ndarray, newline: str, out: list) -> None:
     for t in range(2, n):
         kinds[::math.prod(a.shape[n - t:n - 1])] = t
     kinds[0] = 0
+    starts = np.flatnonzero(np.diff(kinds, prepend=-1))  # of the runs of one kind
+    runs = (starts, pads[kinds[starts]].tolist())
+    heads = heads[kinds]
     step = max(1, _GRID_ENTRIES // m.shape[1])
     out.append(
         chunk
         for r in range(0, len(m), step)
-        for chunk in _grid_chunks(
-            m[r:r + step], levels[n], heads, head_lengths, kinds[r:r + step]
-        )
+        for chunk in _grid_chunks(m[r:r + step], levels[n], heads[r:r + step], runs, r)
     )
     out.append("".join(level + "]" for level in reversed(levels[:-1])))
 
@@ -581,12 +583,12 @@ _GRID_ENTRIES = 1 << 16
 
 
 def _grid_chunks(
-    m: np.ndarray, line: str, heads: np.ndarray, head_lengths: list[int], kinds: np.ndarray
+    m: np.ndarray, line: str, heads: np.ndarray, runs: tuple[np.ndarray, list], first: int
 ) -> Iterator[bytes]:
     """The ASCII text of the rows of the int or complex matrix ``m``, whose
-    entries start on ``line``.  Row ``i`` opens on the head
-    ``heads[kinds[i]]``, NUL-padded on the left from its length in
-    ``head_lengths``.
+    entries start on ``line``.  Row ``i`` opens on the left-NUL-padded head
+    ``heads[i]``.  ``m`` is rows ``first:`` of an array whose runs of rows
+    with one head start at its rows ``runs[0]``, with ``runs[1]`` NULs.
 
     The grid is filled from one template row of cells (the commas, and the
     ``format_complex`` scaffolding of a complex entry); each cell's
@@ -623,7 +625,7 @@ def _grid_chunks(
     indent = heads.shape[1] - len(line) - 1  # where the first cell starts
     grid = np.empty((rows, indent + cols * len(cell)), np.uint8)
     grid[:, indent:] = np.frombuffer((cell * cols).encode(), np.uint8)
-    grid[:, :heads.shape[1]] = heads[kinds]
+    grid[:, :heads.shape[1]] = heads
     cells = grid[:, indent:].reshape(rows, cols, len(cell))  # a view
     for offset, index in zip(offsets, slots):
         if digits:  # a digit's byte is its value plus ord("0")
@@ -633,9 +635,11 @@ def _grid_chunks(
     if not same_width:
         yield grid[grid != 0].tobytes()
         return
-    starts = np.flatnonzero(np.diff(kinds, prepend=-1))
-    for start, stop in zip(starts.tolist(), [*starts[1:].tolist(), rows]):
-        yield grid[start:stop, heads.shape[1] - head_lengths[kinds[start]]:].tobytes()
+    starts, pads = runs
+    i, j = np.searchsorted(starts, [first + 1, first + rows])  # row 0 is in run i - 1
+    cuts = [first, *starts[i:j].tolist(), first + rows]
+    for start, stop, pad in zip(cuts, cuts[1:], pads[i - 1:]):
+        yield grid[start - first:stop - first, pad:].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -644,21 +648,24 @@ def _grid_chunks(
 
 def t_matrix(d: ModularDatum) -> tuple[Phase, ...]:
     """Diagonal of the T-matrix: ``Phase(h_i - c/24 mod 1)`` per module."""
-    return tuple(Phase(Fraction(num, den)) for num, den in _t_angles(d))
+    return tuple(Phase(Fraction(*a)) for a in _t_angles(d.central_charge, d.weights))
 
 
-def _t_angles(d: ModularDatum) -> list[tuple[int, int]]:
-    """The angles ``h_i - c/24`` of the T-phases as integer pairs
-    ``(num, den)``, not reduced, with ``den = lcm(h_i.denominator,
-    24 c.denominator)`` per module: one denominator for all modules
-    could have the digits of all of theirs."""
-    c = d.central_charge
-    c_num, c_den = c.numerator, 24 * c.denominator
-    angles = []
-    for h in d.weights:
-        den = math.lcm(h.denominator, c_den)
-        angles.append((h.numerator * (den // h.denominator) - c_num * (den // c_den), den))
-    return angles
+def _t_angles(central_charge: Fraction, weights) -> list[tuple[int, int]]:
+    """The T-angles ``h - c/24`` of the ``weights`` by :func:`_lcm_sum`, each
+    over its own lcm: a common one could have the digits of all of theirs."""
+    c = (-central_charge.numerator, 24 * central_charge.denominator)
+    return [_lcm_sum([(h.numerator, h.denominator), c]) for h in weights]
+
+
+def _lcm_sum(terms) -> tuple[int, int]:
+    """The sum of the ``p/q`` of the int pairs ``terms`` as ``(num, den)`` over
+    the lcm of the ``q``, not reduced: the one rule of every exact weight and T-angle."""
+    den = math.lcm(*[q for _, q in terms])
+    num = 0
+    for p, q in terms:  # a loop: a comprehension's frame costs more for two terms
+        num += p * (den // q)
+    return num, den
 
 
 def _phase(num: int, den: int) -> complex:
@@ -673,7 +680,8 @@ def _phase(num: int, den: int) -> complex:
 def _t_phases(d: ModularDatum, times: int = 1, over: int = 1) -> np.ndarray:
     """The phases of ``times/over`` times the T-angles, as :func:`_phase` of
     ``times num`` over ``over den``: bit for bit the ``Phase`` of each angle."""
-    return np.array([_phase(times * num, over * den) for num, den in _t_angles(d)])
+    angles = _t_angles(d.central_charge, d.weights)
+    return np.array([_phase(times * num, over * den) for num, den in angles])
 
 
 def _roots(k: int) -> np.ndarray:
@@ -957,16 +965,13 @@ def _s_checks(
     s2 = s @ s
     rounded = np.round(s2.real)
     res = float(np.max(np.abs(s2 - rounded)))
-    is_perm = bool(
-        np.all((rounded == 0) | (rounded == 1))
-        and np.all(rounded.sum(axis=0) == 1)
-        and np.all(rounded.sum(axis=1) == 1)
-    )
+    p = rounded.argmax(axis=0)  # C[p] is the identity exactly when C is a permutation
+    is_perm = np.array_equal(rounded[p], np.eye(n))
     detail = "" if is_perm else "rounded S^2 is not a permutation matrix"
     charge = CheckResult("charge_conjugation", res <= eps and is_perm, res, detail)
 
     passed = unitary.passed and symmetric.passed and charge.passed
-    return unitary, symmetric, charge, s2, rounded.argmax(axis=0) if passed else None
+    return unitary, symmetric, charge, s2, p if passed else None
 
 
 def validate_modular_datum(

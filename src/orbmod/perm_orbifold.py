@@ -49,11 +49,13 @@ from .modular_data import (
     Phase,
     ValidationReport,
     _datum_document,
+    _lcm_sum,
     _memory_bound,
     _memory_refusal,
     _plain,
     _require_memory,
     _roots,
+    _t_angles,
     _t_phases,
     validate_modular_datum,
 )
@@ -180,33 +182,25 @@ def enumerate_orbifold_modules(
     ``sum_j h_{i_j}`` for off-diagonal tuples, and
     ``h_i/k + (k^2 - 1) c/(24 k) + m0/k`` for ``Twisted(r, i, a)`` with
     ``m0`` fixed by the eigenvalue-residue convention (see module notes).
-    Each weight is summed on the integer numerators of its terms over the
-    lcm of their denominators, and made a ``Fraction`` once.
+    Each weight is summed by :func:`~orbmod.modular_data._lcm_sum` from
+    the integer pairs of its terms, and made a ``Fraction`` once.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     sign = -1 if convention == "minus" else 1
+    labels = orbifold_labels(d, k)  # checks k
     h = [(w.numerator, w.denominator) for w in d.weights]
-    # h_i + (k^2 - 1) c/24, the twisted weights times k less m0
+    # (h_i + (k^2 - 1) c/24) / k, the twisted weights less m0/k
     shift = (k * k - 1) * d.central_charge / 24
-    lifted = []
-    for p, q in h:
-        den = math.lcm(q, shift.denominator)
-        lifted.append((p * (den // q) + shift.numerator * (den // shift.denominator), den))
-    out = []
-    for label in orbifold_labels(d, k):
-        if isinstance(label, Diagonal):
-            p, q = h[label.i]
-            weight = Fraction(k * p % q, q)
-        elif isinstance(label, OffDiagonal):
-            den = math.lcm(*(h[i][1] for i in label.indices))
-            weight = Fraction(sum(h[i][0] * (den // h[i][1]) for i in label.indices) % den, den)
-        else:
-            num, den = lifted[label.i]
-            m0 = (sign * label.a * label.r) % k
-            weight = Fraction((num + m0 * den) % (k * den), k * den)
-        out.append((label, weight))
-    return out
+    lifted = [_lcm_sum([(p, k * q), (shift.numerator, k * shift.denominator)]) for p, q in h]
+    terms = [
+        [(k * h[label.i][0], h[label.i][1])] if isinstance(label, Diagonal)
+        else [h[i] for i in label.indices] if isinstance(label, OffDiagonal)
+        else [lifted[label.i], ((sign * label.a * label.r) % k, k)]
+        for label in labels
+    ]
+    weights = [Fraction(num % den, den) for num, den in map(_lcm_sum, terms)]
+    return list(zip(labels, weights))
 
 
 def twisted_sector_block(d: ModularDatum, k: int, r: int, s: int) -> np.ndarray:
@@ -300,12 +294,10 @@ def assemble_orbifold_S(d: ModularDatum, k: int) -> np.ndarray:
 def orbifold_t_phases(
     d: ModularDatum, k: int, convention: str = "minus"
 ) -> tuple[Phase, ...]:
-    """Diagonal T-phases of the orbifold: ``Phase(w - k c / 24)`` per label,
-    using the weights mod 1 from :func:`enumerate_orbifold_modules`."""
-    c24 = k * d.central_charge / 24
-    return tuple(
-        Phase(w - c24) for _, w in enumerate_orbifold_modules(d, k, convention)
-    )
+    """Diagonal T-phases of the orbifold: ``Phase(w - k c / 24)`` for the weights
+    ``w`` of :func:`enumerate_orbifold_modules`, as ``t_matrix`` of the datum."""
+    weights = [w for _, w in enumerate_orbifold_modules(d, k, convention)]
+    return tuple(Phase(Fraction(*a)) for a in _t_angles(k * d.central_charge, weights))
 
 
 def label_text(label: OrbifoldLabel, source: ModularDatum) -> str:

@@ -3,9 +3,11 @@ import json
 import os
 import resource
 import stat
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +118,32 @@ def test_validate_env_tolerance_override(runner):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("command", ["check", "validate", "fusion"])
+@pytest.mark.parametrize("option,envvar", [("--eps", "ORBMOD_EPS"), ("--eps-int", "ORBMOD_EPS_INT")])
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-1e-300", "1e400"])
+@pytest.mark.parametrize("by_env", [False, True], ids=["flag", "env"])
+def test_bad_tolerances_are_flag_errors(runner, command, option, envvar, value, by_env):
+    # a NaN tolerance failed every check, a negative one the exact
+    # identities and an infinite one passed vacuum_row_positive's own test
+    if by_env:
+        result = runner.invoke(main, [command, ising_path()], env={envvar: value})
+    else:
+        result = runner.invoke(main, [command, option, value, ising_path()])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"Error: Invalid value for '{option}': '{value}' is not a finite float >= 0." in (
+        result.stderr
+    )
+
+
+@pytest.mark.parametrize("value", ["0", "-0.0", "1e-300"])
+def test_zero_and_tiny_tolerances_are_accepted(runner, value):
+    # exact identities may fail in floating point, but the flags are valid
+    result = runner.invoke(main, ["check", "--eps", value, "--eps-int", value, ising_path()])
+    assert result.exit_code in (0, 1)
+    assert result.stdout.endswith("/6 checks\n")
+
+
 def test_check_terse_output(runner):
     result = runner.invoke(main, ["check", ising_path()])
     assert result.exit_code == 0
@@ -142,6 +170,22 @@ def test_unreadable_input_is_input_error(runner, tmp_path, command, content):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith(f"error: cannot read {path}: ")
+
+
+def test_input_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # under the C locale without UTF-8 mode, Path.read_text() decodes ASCII
+    doc = json.loads(fixtures.path("ising").read_text(encoding="utf-8"))
+    doc["modules"][2]["label"] = "\u03c3"
+    path = tmp_path / "ising.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.update(PYTHONUTF8="0", LC_ALL="C")
+    result = subprocess.run(
+        [sys.executable, "-m", "orbmod.cli", "check", str(path)], capture_output=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"PASS {path}: 6/6 checks\n".encode()
 
 
 @pytest.mark.parametrize(

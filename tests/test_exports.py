@@ -59,7 +59,8 @@ def test_benchmark_uses_only_exported_names():
 def run_quickstart():
     """Run the README's ``python`` block one statement at a time; returns its
     namespace and the value of each expression statement, by its text."""
-    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
     namespace, shown = {}, {}
     for node in ast.parse(block).body:
         if isinstance(node, ast.Expr):

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import time
 import tracemalloc
@@ -465,6 +466,68 @@ def test_validation_flags_nonpositive_vacuum_row():
     assert not report["vacuum_row_positive"].passed
     assert not report["fusion_integrality"].passed  # vacuum row hits zero
     assert report.fusion is None
+
+
+class _SquaresTo(np.ndarray):
+    """The identity, unitary and symmetric, whose ``S @ S`` reads as the
+    matrix ``square``: it feeds ``_s_checks`` any rounded S**2."""
+
+    def __matmul__(self, other):
+        return self.square if other is self else np.asarray(self) @ np.asarray(other)
+
+
+def old_is_permutation(rounded):
+    """The charge-conjugation test before the permutation was read by
+    ``argmax``: a 0/1 matrix whose rows and columns each sum to 1."""
+    return bool(
+        np.all((rounded == 0) | (rounded == 1))
+        and np.all(rounded.sum(axis=0) == 1)
+        and np.all(rounded.sum(axis=1) == 1)
+    )
+
+
+def s2_families():
+    """Random real squares with n <= 6 and entries in {0, -0.0, 1, 2, -1,
+    inf, 0.5}, mostly 0 and 1; then every permutation matrix with n <= 6,
+    once with -0.0 for its zeros."""
+    rng = np.random.default_rng(2009_02612)
+    values = np.array([0.0, -0.0, 1.0, 2.0, -1.0, np.inf, 0.5])
+    weights = np.array([8, 2, 4, 1, 1, 1, 1]) / 18
+    for _ in range(6000):
+        n = int(rng.integers(1, 7))
+        yield rng.choice(values, size=(n, n), p=weights)
+    for n in range(1, 7):
+        for perm in itertools.permutations(range(n)):
+            m = np.eye(n)[list(perm)]
+            yield m
+            yield np.where(m == 0, -0.0, m)
+
+
+def test_charge_conjugation_reads_the_permutation_of_the_old_test():
+    seen = {True: 0, False: 0}
+    for square in s2_families():  # inf - inf warns
+        with np.errstate(invalid="ignore"):
+            seen[check_the_square(square)] += 1
+    assert seen[True] >= 1746 and seen[False] > 1000
+
+
+def check_the_square(square):
+    """``_s_checks`` on an S whose square reads as ``square`` gives the old
+    test's verdict and map; returns the verdict."""
+    s = np.eye(len(square), dtype=complex).view(_SquaresTo)
+    s.square = square.astype(complex)
+    unitary, symmetric, charge, _, conjugation = modular_data._s_checks(s, DEFAULT_EPS)
+    assert unitary.passed and symmetric.passed
+    rounded = np.round(square)
+    is_perm = old_is_permutation(rounded)
+    assert charge.detail == ("" if is_perm else "rounded S^2 is not a permutation matrix")
+    res = float(np.max(np.abs(square - rounded)))
+    assert charge.passed == (res <= DEFAULT_EPS and is_perm)
+    if charge.passed:
+        assert np.array_equal(conjugation, rounded.argmax(axis=0))
+    else:
+        assert conjugation is None
+    return charge.passed
 
 
 def test_validation_report_keeps_fusion_tensor(fibonacci):

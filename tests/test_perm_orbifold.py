@@ -349,9 +349,12 @@ def test_orbifold_t_phases_holomorphic(holo8):
     assert phases[labels.index(Twisted(1, 0, 0))] == Phase(Fraction(5, 6))
 
 
-def test_orbifold_t_phases_match_embedded_datum(ising):
-    orb = build_orbifold_datum(ising, 2)
-    assert orbifold_t_phases(ising, 2) == t_matrix(orb.datum)
+def test_orbifold_t_phases_match_embedded_datum(ising, fibonacci, holo8):
+    for d, k, convention in itertools.product(
+        (ising, fibonacci, holo8), (2, 3, 5), ("minus", "plus")
+    ):
+        orb = build_orbifold_datum(d, k, convention)
+        assert orbifold_t_phases(d, k, convention) == t_matrix(orb.datum)
 
 
 # ---------------------------------------------------------------------------
